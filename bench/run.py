@@ -2,7 +2,7 @@
 
 Measure one workload (the last stdout line is the result JSON):
 
-    python3 bench/run.py --workload sde-montecarlo --seed 1 --seconds 15 --trace 0
+    python3 bench/run.py --workload sde-montecarlo --seed 1 --seconds 20 --trace 0
 
 `--trace 0` reports the end-to-end metrics of BENCHMARK.json, `--trace 1`
 the per-layer ones.  `--out FILE` also appends the result, the run's
@@ -15,7 +15,7 @@ ratio with its base and the verdict under BENCHMARK.json's bounds.
 
 This process needs only the standard library.  The measured processes are
 fresh interpreters (bench/worker.py) started with the BLAS thread count
-pinned (--blas-threads, default 1).  See bench/README.md.
+pinned to BLAS_THREADS.  See bench/README.md.
 """
 
 import argparse
@@ -33,10 +33,15 @@ WORKER = os.path.join(HERE, "worker.py")
 #: a worker that takes longer than this is killed and the run fails
 WORKER_TIMEOUT_S = 150
 BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
-#: timings are reported at the host speed at which the worker's reference
-#: kernel takes this long (about the fast stretches of the 2-CPU VM the
-#: benchmark was built on)
+#: the single-threaded baseline: at 2 OpenBLAS threads on a 2-CPU host the
+#: same small call ran 40 times slower in some calls than in others
+BLAS_THREADS = 1
+#: timings are reported at the host speed at which the reference kernel of
+#: bench/speed.py takes this long (a little faster than the fast stretches
+#: of the 2-CPU VM the benchmark was built on)
 REFERENCE_READING_S = 1.0e-3
+#: share of the readings dropped at each end before averaging them
+READING_TRIM = 0.2
 
 
 class BenchError(RuntimeError):
@@ -93,15 +98,27 @@ def _environment(env, versions, workload, seed):
     }
 
 
+def _trimmed_mean(values, cut=READING_TRIM):
+    """Mean of the values left after dropping `cut` of them at each end.
+
+    The host runs in a fast and a slow mode, so the median of a run's
+    readings jumps to whichever mode holds most of them, while their mean
+    follows the share of each; trimming keeps single spikes out.
+    """
+    values = sorted(values)
+    k = int(len(values) * cut)
+    return statistics.fmean(values[k : len(values) - k])
+
+
 def _load_spec():
     with open(os.path.join(ROOT, "BENCHMARK.json")) as fh:
         return json.load(fh)
 
 
-def measure(spec, workload, seed, seconds, trace, blas_threads):
+def measure(spec, workload, seed, seconds, trace):
     env = dict(os.environ)
     for var in BLAS_THREAD_VARS:
-        env[var] = str(blas_threads)
+        env[var] = str(BLAS_THREADS)
     workdir = os.path.join(ROOT, ".bench_tmp")
     os.makedirs(workdir, exist_ok=True)
     args = ["--workload", workload, "--seed", str(seed), "--workdir", workdir,
@@ -115,19 +132,24 @@ def measure(spec, workload, seed, seconds, trace, blas_threads):
             pass
     for failure, times in collections.Counter(rec["failures"]).items():
         print(f"CHECK FAILED {workload} seed={seed} ({times}x): {failure}", file=sys.stderr)
+    detail = {key: rec[key] for key in ("task_s", "setup_s", "readings")}
     if trace:
         metrics = {name: {"value": v, "unit": unit} for name, (v, unit) in rec["layers"].items()}
         expected = spec["per_layer"]
     else:
-        scale = REFERENCE_READING_S / statistics.median(rec["readings"])
         # one pass with every task at its median time over the run's passes;
         # set-up as the median over the probes
-        wall = sum(statistics.median(times) for times in rec["task_s"].values())
+        raw = {
+            "wall_s": sum(statistics.median(times) for times in rec["task_s"].values()),
+            "setup_s": statistics.median(rec["setup_s"]),
+        }
+        scale = REFERENCE_READING_S / _trimmed_mean(rec["readings"])
         metrics = {
-            "wall_s": {"value": wall * scale, "unit": "s"},
-            "setup_s": {"value": statistics.median(rec["setup_s"]) * scale, "unit": "s"},
+            "wall_s": {"value": raw["wall_s"] * scale, "unit": "s"},
+            "setup_s": {"value": raw["setup_s"] * scale, "unit": "s"},
             "peak_rss_mb": {"value": rec["peak_rss_mb"], "unit": "MB"},
         }
+        detail.update(raw=raw, scale=scale)
         expected = spec["end_to_end"]
     if sorted(metrics) != sorted(m["name"] for m in expected):
         raise BenchError(f"metrics {sorted(metrics)} do not match BENCHMARK.json")
@@ -137,7 +159,6 @@ def measure(spec, workload, seed, seconds, trace, blas_threads):
         "failed": len(rec["failures"]),
         "metrics": metrics,
     }
-    detail = {key: rec[key] for key in ("task_s", "setup_s", "readings")}
     return result, detail, _environment(env, rec["versions"], workload, seed)
 
 
@@ -229,9 +250,8 @@ def main(argv=None):
     ap = argparse.ArgumentParser(description="entroflow benchmark")
     ap.add_argument("--workload", choices=[w["name"] for w in spec["workloads"]])
     ap.add_argument("--seed", type=int, default=0)
-    ap.add_argument("--seconds", type=float, default=15.0)
+    ap.add_argument("--seconds", type=float, default=20.0)
     ap.add_argument("--trace", type=int, choices=(0, 1), default=0)
-    ap.add_argument("--blas-threads", type=int, default=1, help="BLAS threads of the measured process")
     ap.add_argument("--out", help="append the result and environment to this JSON-lines file")
     ap.add_argument("--compare", nargs=2, metavar=("BASE", "CHANGE"), help="compare two --out files")
     args = ap.parse_args(argv)
@@ -239,11 +259,9 @@ def main(argv=None):
         return compare(spec, *args.compare)
     if args.workload is None:
         ap.error("--workload is required")
-    if args.blas_threads < 1 or args.blas_threads > (os.cpu_count() or 1):
-        ap.error("--blas-threads must be between 1 and the number of CPUs")
     try:
         result, detail, environment = measure(
-            spec, args.workload, args.seed, args.seconds, bool(args.trace), args.blas_threads
+            spec, args.workload, args.seed, args.seconds, bool(args.trace)
         )
     except (BenchError, subprocess.TimeoutExpired, OSError, ValueError, KeyError) as exc:
         print(f"benchmark failed: {exc}", file=sys.stderr)

@@ -8,7 +8,7 @@ environment before this process imports numpy.  Prints one JSON line:
   set-up time; CLOCK_MONOTONIC is shared by all processes);
 * with --seconds > 0: every task's time in every untraced pass, the
   set-up time of every probe spawned between passes, the host speed
-  readings taken around each of them, the task checks and the
+  readings taken before each of them (bench/speed.py), the task checks and the
   determinism probe, peak RSS and, with --trace 1, the per-layer metrics
   of the traced passes that follow the untraced ones.
 """
@@ -54,39 +54,11 @@ def _versions():
     }
 
 
-class HostSpeed:
-    """Readings of a fixed reference kernel, taken around every timing.
-
-    The kernel (a numpy exp over 100k values into a preallocated array and
-    a 20k-step Python loop, about 1 ms) shares no code with entroflow and
-    allocates nothing.  Its median time over a run tracks how fast the
-    host ran during that run (see bench/README.md); run.py scales the
-    run's timings by REFERENCE_READING_S over that median.
-    """
-
-    def __init__(self):
-        import numpy
-
-        self._x = numpy.linspace(-1.0, 1.0, 100_000)
-        self._y = numpy.empty_like(self._x)
-        self._exp = numpy.exp
-        self.readings = []
-
-    def read(self):
-        for _ in range(2):  # the first call warms caches; keep the second
-            start = time.perf_counter()
-            acc = float(self._exp(self._x, out=self._y).sum())
-            for j in range(20_000):
-                acc += j
-            elapsed = time.perf_counter() - start
-        self.readings.append(elapsed)
-
-
 def run_pass(workload, failures, speed=None):
     """Time every task once; check each output outside its timed interval.
 
     Returns the seconds each task took.  With `speed`, the host speed is
-    read before and after every task.
+    read once before every task.
     """
     times = []
     for task in workload.tasks:
@@ -98,10 +70,7 @@ def run_pass(workload, failures, speed=None):
             raised = None
         except Exception:
             raised = traceback.format_exc()
-        elapsed = time.perf_counter() - start
-        times.append(elapsed)
-        if speed is not None:
-            speed.read()
+        times.append(time.perf_counter() - start)
         if raised is not None:
             failures.append(f"{task.name}: raised\n{raised}")
             continue
@@ -122,9 +91,7 @@ def probe_setup(args, speed):
     proc = subprocess.run(cmd, capture_output=True, text=True, timeout=PROBE_TIMEOUT_S)
     if proc.returncode != 0:
         raise RuntimeError(f"set-up probe exited {proc.returncode}:\n{proc.stderr}")
-    elapsed = json.loads(proc.stdout.strip().splitlines()[-1])["ready_at"] - spawned
-    speed.read()
-    return elapsed
+    return json.loads(proc.stdout.strip().splitlines()[-1])["ready_at"] - spawned
 
 
 def measure(workload, args):
@@ -134,9 +101,15 @@ def measure(workload, args):
     SETUP_PROBE_EVERY_S of pass time, so set-up samples spread over the run
     instead of sharing one stretch of machine state.
     """
+    from speed import HostSpeed
+
+    with HostSpeed() as speed:
+        return _measure(workload, args, speed)
+
+
+def _measure(workload, args, speed):
     from tracer import Tracer, layer_metrics
 
-    speed = HostSpeed()
     failures = []
     attempted = 0
     untraced, setups = [], []

@@ -15,6 +15,7 @@ bench/README.md.
 import configparser
 import contextlib
 import dataclasses
+import functools
 import io
 import json
 import math
@@ -24,6 +25,7 @@ from typing import Callable
 
 import numpy as np
 from scipy.integrate import quad
+from scipy.optimize import linear_sum_assignment, linprog
 
 import entroflow as ef
 from entroflow import catalog, cli
@@ -270,7 +272,7 @@ def _oracle_quadrature(seed, workdir):
                 "diffusion-gap",
             ),
         ]
-        return report_json(ef.mismatch_singularity_experiment(cases, t, n_mc=500, seed=seed, n_nodes=64))
+        return report_json(ef.mismatch_singularity_experiment(cases, t, n_mc=500, seed=seed, n_nodes=16))
 
     def mismatch_check(out):
         rep, _ = out
@@ -335,22 +337,25 @@ def _transport_ot(seed, workdir):
 
     tasks = []
 
-    def exact_task(name, mu, nu):
+    def exact_task(name, mu, nu, rtol):
+        # reference W2^2, solved once, at the first check, outside set-up
+        want = functools.cache(lambda: _exact_w2_squared(mu, nu))
+
         def run():
             return ef.w2_empirical_ot(mu, nu, method="exact")
 
         def check(out):
             dist, plan = out
             plan.validate()
-            _close(dist * dist, plan.cost, f"{name}: distance vs plan cost")
+            _close(dist * dist, want(), f"{name}: W2^2", rtol)
 
         tasks.append(Task(name, run, check))
 
-    exact_task("assignment.n1000", cloud(1000), cloud(1000))
-    exact_task("assignment.n1500", cloud(1500), cloud(1500))
+    exact_task("assignment.n1000", cloud(1000), cloud(1000), CLOSED_FORM_RTOL)
+    exact_task("assignment.n1500", cloud(1500), cloud(1500), CLOSED_FORM_RTOL)
     lp_mu = ef.EmpiricalMeasure(rng.uniform(size=(80, 2)), rng.dirichlet(np.ones(80)))
     lp_nu = ef.EmpiricalMeasure(rng.uniform(size=(60, 2)) + [0.5, 0.0], rng.dirichlet(np.ones(60)))
-    exact_task("linprog.80x60", lp_mu, lp_nu)
+    exact_task("linprog.80x60", lp_mu, lp_nu, LP_RTOL)
 
     line_mu, line_nu = cloud(800, 1), ef.EmpiricalMeasure(rng.normal(0.5, 0.3, size=(800, 1)))
 
@@ -371,15 +376,24 @@ def _transport_ot(seed, workdir):
     for n, eps, reps in SINKHORN_LADDER:
         for k in range(reps):
             mu, nu = cloud(n), cloud(n)
+            exact = functools.cache(lambda mu=mu, nu=nu: _exact_w2_squared(mu, nu))
 
             def sk_run(mu=mu, nu=nu, eps=eps):
                 return ef.w2_empirical_ot(mu, nu, method="entropic", epsilon=eps)
 
-            def sk_check(out, eps=eps):
-                dist, plan = out
-                expect(plan.marginal_violation() < ef.transport.SINKHORN_TOL, f"sinkhorn eps={eps}: marginals")
-                expect(math.isfinite(plan.debiased_cost), f"sinkhorn eps={eps}: debiased cost not finite")
-                _close(dist * dist, plan.cost, f"sinkhorn eps={eps}: distance vs plan cost")
+            def sk_check(out, eps=eps, n=n, exact=exact):
+                _, plan = out
+                label = f"sinkhorn n={n} eps={eps}"
+                violation = plan.marginal_violation()
+                expect(violation < SINKHORN_MARGINAL_TOL, f"{label}: marginal violation {violation:.2e}")
+                # any coupling costs at least W2^2; the entropic one at most
+                # eps * log(n) more (its KL to the product is at most log n)
+                want = exact()
+                expect(want - 1e-9 <= plan.cost <= want + eps * math.log(n), f"{label}: cost {plan.cost!r} vs W2^2 {want!r}")
+                expect(
+                    abs(plan.debiased_cost - want) <= DEBIASED_BAND,
+                    f"{label}: debiased cost {plan.debiased_cost!r} vs W2^2 {want!r}",
+                )
 
             tasks.append(Task(f"sinkhorn.n{n}.eps{eps}.{k}", sk_run, sk_check))
 
@@ -416,6 +430,31 @@ def _transport_ot(seed, workdir):
 
 #: (cloud size, epsilon, independent cloud pairs) per entropic rung
 SINKHORN_LADDER = ((450, 0.1, 1), (300, 0.05, 1), (150, 0.02, 12))
+#: the marginal error an entropic plan must reach (the solver's default
+#: stopping tolerance when the benchmark was written)
+SINKHORN_MARGINAL_TOL = 1e-7
+#: |debiased cost - W2^2| on the ladder's clouds: at most 2.2e-3 was seen
+#: over the 224 cloud pairs of seeds 0-15; without debiasing it is 0.014
+#: or more
+DEBIASED_BAND = 5e-3
+#: HiGHS solves to a feasibility tolerance of 1e-7, so two LP formulations
+#: of the same problem agree only to about that
+LP_RTOL = 1e-7
+
+
+def _exact_w2_squared(mu, nu):
+    """W2^2 between two clouds, solved here without entroflow's solver."""
+    cost = ((mu.points[:, None, :] - nu.points[None, :, :]) ** 2).sum(axis=-1)
+    n, m = cost.shape
+    if n == m and np.all(mu.weights == mu.weights[0]) and np.all(nu.weights == nu.weights[0]):
+        rows, cols = linear_sum_assignment(cost)
+        return float(cost[rows, cols].mean())
+    # transport polytope with every row and column constraint
+    a_eq = np.vstack([np.kron(np.eye(n), np.ones(m)), np.kron(np.ones(n), np.eye(m))])
+    res = linprog(cost.ravel(), A_eq=a_eq, b_eq=np.concatenate([mu.weights, nu.weights]), method="highs")
+    if not res.success:
+        raise CheckFailed(f"reference LP failed: {res.message}")
+    return float(res.fun)
 
 
 # --------------------------------------------------------------------------

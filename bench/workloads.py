@@ -30,9 +30,13 @@ from scipy.optimize import linear_sum_assignment, linprog
 import entroflow as ef
 from entroflow import catalog, cli
 
-#: acceptance tolerances (tests/test_acceptance.py): closed forms, Monte Carlo
+#: acceptance tolerance (tests/test_acceptance.py) for closed forms
 CLOSED_FORM_RTOL = 1e-9
-MC_SIGMAS = 3.0
+#: Monte Carlo tolerance in standard errors.  The acceptance tests use 3 at
+#: one fixed seed; a run here makes 14 such checks at a seed of its own, and
+#: at 3 SE about 1 seed in 140 fails on correct code (Gaussian tail plus the
+#: slacks below).  At 4 SE it is about 1 in 8,700.
+MC_SIGMAS = 4.0
 
 
 class CheckFailed(AssertionError):
@@ -70,7 +74,7 @@ def _without_timestamp(text):
 
 
 def _check_moments(points, mean, cov, n_eff, label, mean_slack, var_slack, mean_var=None):
-    """Sample mean and variance per coordinate within 3 standard errors.
+    """Sample mean and variance per coordinate within MC_SIGMAS standard errors.
 
     The additive slacks are the Euler-discretisation allowances of
     acceptance criterion 8.  mean_var overrides the variance of one draw
@@ -153,7 +157,12 @@ def _sde_montecarlo(seed, workdir):
         return ef.synchronous_pair(heat2, heat2, x1_pair, x2_pair, ef.time_grid(1.0, 256), seed=seed + 4, n_pairs=n_pairs)
 
     def pair_check(pair):
-        expect(bool(np.all(pair.separation == d0)), "synchronous heat/heat separation not bit-constant")
+        # bit-constant in time; the start is compared to d0 only to rounding,
+        # because norm() of a vector and norm(axis=1) of a stack use different
+        # reductions and can differ in the last bit
+        sep = pair.separation
+        expect(bool(np.all(sep == sep[:, :1])), "synchronous heat/heat separation not bit-constant")
+        _close(float(sep[0, 0]), d0, "synchronous heat/heat initial separation")
 
     # mean-field OU keeps the cloud mean, so the limit law is the OU law
     # around it; the cloud mean itself carries the initial and the averaged

@@ -52,6 +52,7 @@ from .oracles import (
     bridge_law_linear,
     gaussian_fisher,
     linear_sde_law,
+    linear_sde_laws,
     mismatch_bound,
     mismatch_field,
     score_gaussian,

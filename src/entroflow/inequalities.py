@@ -18,7 +18,7 @@ from ._rng import DRAW, substream
 from .divergence import kl_gaussian, kl_knn
 from .meanfield import evolve_particles
 from .measures import EmpiricalMeasure, GaussianMeasure, gaussian_sample
-from .oracles import bridge_law_linear, linear_sde_law, mismatch_bound
+from .oracles import bridge_law_linear, linear_sde_law, linear_sde_laws, mismatch_bound
 from .reports import ExperimentReport, classify
 from .transport import w2_empirical_ot, w2_exact, w2_gaussian
 
@@ -111,12 +111,12 @@ def _is_standard_heat(spec):
 def entropy_cost_experiment(spec1, spec2, x1, x2, t_grid, bound_factor=10.0):
     """Short-time rate of Ent(law1_t | law2_t) for two linear flows.
 
-    Both laws start from points x1, x2 and are evaluated in closed form on
-    the grid.  The check is the 1/t rate: max_t t*Ent must stay below
-    bound_factor times the value at the largest grid time.  params records
-    the implied entropy-cost constant sup_t t*Ent/|x1-x2|^2 and, when both
-    specs are the standard heat flow, the deviation from the sharp
-    coefficient |x1-x2|^2/(4t).
+    Both laws start from points x1, x2 and are evaluated on the grid by
+    linear_sde_laws, one forward pass per flow.  The check is the 1/t rate:
+    max_t t*Ent must stay below bound_factor times the value at the largest
+    grid time.  params records the implied entropy-cost constant
+    sup_t t*Ent/|x1-x2|^2 and, when both specs are the standard heat flow,
+    the deviation from the sharp coefficient |x1-x2|^2/(4t).
     """
     x1 = np.asarray(x1, dtype=float).reshape(-1)
     x2 = np.asarray(x2, dtype=float).reshape(-1)
@@ -125,7 +125,8 @@ def entropy_cost_experiment(spec1, spec2, x1, x2, t_grid, bound_factor=10.0):
         raise ExperimentError("t grid must be positive")
     s1 = replace(spec1, initial_mean=x1, initial_cov=None)
     s2 = replace(spec2, initial_mean=x2, initial_cov=None)
-    ents = np.array([kl_gaussian(linear_sde_law(s1, t), linear_sde_law(s2, t)) for t in t_grid])
+    laws1, laws2 = linear_sde_laws(s1, t_grid), linear_sde_laws(s2, t_grid)
+    ents = np.array([kl_gaussian(g1, g2) for g1, g2 in zip(laws1, laws2)])
     t_ent = t_grid * ents
     dx2 = float(np.sum((x1 - x2) ** 2))
     params = {
@@ -212,7 +213,9 @@ def mismatch_singularity_experiment(cases, t, n_mc=500, seed=0, n_nodes=200):
     params = {"t": t, "n_mc": n_mc, "cases": rows}
     tol = 1e-9
     if binding is None:
-        left, right = 0.0, math.inf if diverged_labels else 0.0
+        # no finite bound to compare against: report the largest known entropy
+        known = [case.true_entropy for case in cases if case.true_entropy is not None]
+        left, right = max(known, default=0.0), math.inf if diverged_labels else 0.0
     else:
         left, right = binding[1], binding[2]
     if diverged_labels:

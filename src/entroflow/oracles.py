@@ -6,11 +6,15 @@ Gaussian; the mean and covariance obey
     m' = A m + c,        C' = A C + C A' + S S'.
 
 Constant coefficients are solved exactly through matrix exponentials (Van
-Loan block trick for the convolution integrals); time-dependent callables
-fall back to fixed-step 4th-order integration.  On top of the laws the
-module provides the Gaussian score, the generator-mismatch field between two
-coefficient fields, the induced entropy upper bound with its short-time
-divergence probe, and the switched-generator (bridge) law.
+Loan block trick for the convolution integrals).  Time-dependent callables
+are integrated with classical 4th-order Runge-Kutta in one forward pass over
+sorted query times: the span up to each time takes
+ceil(RK4_STEPS * span / horizon) equal steps, so no step is longer than
+horizon / RK4_STEPS, and a law at t = horizon takes exactly RK4_STEPS steps.
+The coefficients are evaluated once per distinct stage time.  On top of the
+laws the module provides the Gaussian score, the generator-mismatch field
+between two coefficient fields, the induced entropy upper bound with its
+short-time divergence probe, and the switched-generator (bridge) law.
 """
 
 import math
@@ -27,6 +31,7 @@ from .dynamics import DynamicsError
 __all__ = [
     "LinearSDESpec",
     "linear_sde_law",
+    "linear_sde_laws",
     "score_gaussian",
     "mismatch_field",
     "mismatch_bound",
@@ -40,6 +45,8 @@ DIVERGENCE_OVERFLOW = 1e6
 #: ratio of successive per-decade increments above which the integral is
 #: judged non-decaying (log-type divergence)
 DECADE_DECAY_RATIO = 0.8
+#: RK4 steps across one spec horizon; no step is longer than horizon / RK4_STEPS
+RK4_STEPS = 800
 
 
 class OracleError(ValueError):
@@ -73,7 +80,9 @@ class LinearSDESpec:
     """dX = (A(t) X + c(t)) dt + S(t) dW with constant-in-x noise, a = S S'/2.
 
     A, c, S may be constants (arrays/scalars) or callables of t.  The initial
-    law is Gaussian or a point (zero covariance).
+    law is Gaussian or a point (zero covariance).  Laws are defined on
+    [0, horizon]; for callable coefficients the horizon also sets the longest
+    RK4 step, horizon / RK4_STEPS.
     """
 
     dim: int
@@ -85,6 +94,8 @@ class LinearSDESpec:
     horizon: float = 1.0
 
     def __post_init__(self):
+        if not (math.isfinite(self.horizon) and self.horizon > 0):
+            raise OracleError("horizon must be positive and finite")
         object.__setattr__(self, "initial_mean", np.asarray(self.initial_mean, dtype=float).reshape(-1))
         if self.initial_mean.size != self.dim:
             raise OracleError("initial mean dimension mismatch")
@@ -143,33 +154,66 @@ def _propagate_const(a, c, q, m0, c0, tau):
     return m, 0.5 * (cov + cov.T)
 
 
-def _propagate_rk4(a_fn, c_fn, s_fn, m0, c0, t_start, tau, n_steps=800):
-    m, cov = m0.copy(), c0.copy()
-    h = tau / n_steps
+def _rk4_steps(tau, horizon):
+    """ceil(RK4_STEPS * tau / horizon) steps for a span tau, at least one.
 
-    def rhs(t, m, cov):
-        a = a_fn(t)
-        s = s_fn(t)
-        return a @ m + c_fn(t), a @ cov + cov @ a.T + s @ s.T
-
-    t = t_start
-    for _ in range(n_steps):
-        k1m, k1c = rhs(t, m, cov)
-        k2m, k2c = rhs(t + 0.5 * h, m + 0.5 * h * k1m, cov + 0.5 * h * k1c)
-        k3m, k3c = rhs(t + 0.5 * h, m + 0.5 * h * k2m, cov + 0.5 * h * k2c)
-        k4m, k4c = rhs(t + h, m + h * k3m, cov + h * k3c)
-        m = m + (h / 6.0) * (k1m + 2 * k2m + 2 * k3m + k4m)
-        cov = cov + (h / 6.0) * (k1c + 2 * k2c + 2 * k3c + k4c)
-        t += h
-    return m, 0.5 * (cov + cov.T)
+    The 1e-9 slack keeps rounding in the ratio from adding a step, so a span
+    of exactly one horizon takes exactly RK4_STEPS steps.
+    """
+    return max(1, math.ceil(RK4_STEPS * tau / horizon - 1e-9))
 
 
-def _law_at(spec, t):
+def _moment_path(spec, m0, c0, t_start, times):
+    """(m, C) of spec's dynamics at each sorted time, started from (m0, C0) at t_start.
+
+    Constant coefficients use the Van Loan closed form over each t - t_start.
+    Callable coefficients are integrated forward once across the times; the
+    span up to each time takes _rk4_steps(span, spec.horizon) equal steps.
+    A, c and S S' are evaluated once per distinct stage time: k2 and k3
+    share the midpoint, and k4's endpoint values are the next step's k1, so
+    a span of n steps makes 2n + 1 calls to each coefficient function.
+    """
     a_fn, c_fn, s_fn, const = spec.parts()
     if const:
-        q = s_fn(0.0) @ s_fn(0.0).T
-        return _propagate_const(a_fn(0.0), c_fn(0.0), q, spec.initial_mean, spec.initial_cov, t)
-    return _propagate_rk4(a_fn, c_fn, s_fn, spec.initial_mean, spec.initial_cov, 0.0, t)
+        s = s_fn(0.0)
+        a, c, q = a_fn(0.0), c_fn(0.0), s @ s.T
+        return [_propagate_const(a, c, q, m0, c0, t - t_start) for t in times]
+
+    def coefficients(t):
+        s = s_fn(t)
+        return a_fn(t), c_fn(t), s @ s.T
+
+    def rhs(coef, m, cov):
+        a, c, q = coef
+        return a @ m + c, a @ cov + cov @ a.T + q
+
+    out = []
+    m, cov, t = m0, c0, t_start
+    for t_end in times:
+        n = _rk4_steps(t_end - t, spec.horizon)
+        h = (t_end - t) / n
+        k_start = coefficients(t)
+        for _ in range(n):
+            k_mid = coefficients(t + 0.5 * h)
+            k_end = coefficients(t + h)
+            k1m, k1c = rhs(k_start, m, cov)
+            k2m, k2c = rhs(k_mid, m + 0.5 * h * k1m, cov + 0.5 * h * k1c)
+            k3m, k3c = rhs(k_mid, m + 0.5 * h * k2m, cov + 0.5 * h * k2c)
+            k4m, k4c = rhs(k_end, m + h * k3m, cov + h * k3c)
+            m = m + (h / 6.0) * (k1m + 2 * k2m + 2 * k3m + k4m)
+            cov = cov + (h / 6.0) * (k1c + 2 * k2c + 2 * k3c + k4c)
+            t += h
+            k_start = k_end
+        out.append((m, 0.5 * (cov + cov.T)))
+        t = t_end
+    return out
+
+
+def _law_at(m, cov, t):
+    try:
+        return GaussianMeasure(m, cov)
+    except MeasureError as exc:
+        raise OracleError(f"propagated covariance not SPD at t={t}: {exc}") from exc
 
 
 def linear_sde_law(spec, t):
@@ -180,11 +224,24 @@ def linear_sde_law(spec, t):
         if spec.is_point_start():
             raise OracleError("law at t=0 for a point start is a point mass, not a Gaussian")
         return GaussianMeasure(spec.initial_mean, spec.initial_cov)
-    m, cov = _law_at(spec, t)
-    try:
-        return GaussianMeasure(m, cov)
-    except MeasureError as exc:
-        raise OracleError(f"propagated covariance not SPD at t={t}: {exc}") from exc
+    (m, cov), = _moment_path(spec, spec.initial_mean, spec.initial_cov, 0.0, [t])
+    return _law_at(m, cov, t)
+
+
+def linear_sde_laws(spec, times):
+    """Gaussian laws of the linear SDE at sorted times in (0, horizon].
+
+    One forward integration serves every time, so a grid costs about as
+    much as its largest time.  Each law equals linear_sde_law(spec, t)
+    exactly for constant coefficients and to RK4 accuracy otherwise.
+    """
+    times = np.asarray(times, dtype=float).reshape(-1).tolist()
+    if not all(a <= b for a, b in zip(times, times[1:])):
+        raise OracleError("times must be sorted in increasing order")
+    if times and not (times[0] > 0 and times[-1] <= spec.horizon + 1e-12):
+        raise OracleError("times outside (0, horizon]")
+    path = _moment_path(spec, spec.initial_mean, spec.initial_cov, 0.0, times)
+    return [_law_at(m, cov, t) for (m, cov), t in zip(path, times)]
 
 
 def score_gaussian(g, y):
@@ -350,17 +407,9 @@ def bridge_law_linear(spec1, spec2, x1, t0, t1):
     x1 = np.asarray(x1, dtype=float).reshape(-1)
     m, cov = x1, np.zeros((spec1.dim, spec1.dim))
     if t0 > 0:
-        a_fn, c_fn, s_fn, const = spec1.parts()
-        if const:
-            m, cov = _propagate_const(a_fn(0.0), c_fn(0.0), s_fn(0.0) @ s_fn(0.0).T, m, cov, t0)
-        else:
-            m, cov = _propagate_rk4(a_fn, c_fn, s_fn, m, cov, 0.0, t0)
+        (m, cov), = _moment_path(spec1, m, cov, 0.0, [t0])
     if t1 > t0:
-        a_fn, c_fn, s_fn, const = spec2.parts()
-        if const:
-            m, cov = _propagate_const(a_fn(0.0), c_fn(0.0), s_fn(0.0) @ s_fn(0.0).T, m, cov, t1 - t0)
-        else:
-            m, cov = _propagate_rk4(a_fn, c_fn, s_fn, m, cov, t0, t1 - t0)
+        (m, cov), = _moment_path(spec2, m, cov, t0, [t1])
     try:
         return GaussianMeasure(m, cov)
     except MeasureError as exc:

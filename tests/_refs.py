@@ -107,3 +107,43 @@ def ou_law_1d(x0, rate, a_scale, t):
 def random_spd(rng, d, scale=1.0):
     m = rng.standard_normal((d, d))
     return scale * (m @ m.T + d * np.eye(d) * 0.3)
+
+
+def rk4_moments_fixed(a_fn, c_fn, s_fn, m0, c0, t_start, tau, n_steps=800):
+    """(m, C) of dX = (A X + c) dt + S dW after tau, by n_steps fixed RK4 steps.
+
+    The loop the package used before its moment path: every stage calls the
+    coefficient functions afresh.
+    """
+    m, cov = m0.copy(), c0.copy()
+    h = tau / n_steps
+
+    def rhs(t, m, cov):
+        a = a_fn(t)
+        s = s_fn(t)
+        return a @ m + c_fn(t), a @ cov + cov @ a.T + s @ s.T
+
+    t = t_start
+    for _ in range(n_steps):
+        k1m, k1c = rhs(t, m, cov)
+        k2m, k2c = rhs(t + 0.5 * h, m + 0.5 * h * k1m, cov + 0.5 * h * k1c)
+        k3m, k3c = rhs(t + 0.5 * h, m + 0.5 * h * k2m, cov + 0.5 * h * k2c)
+        k4m, k4c = rhs(t + h, m + h * k3m, cov + h * k3c)
+        m = m + (h / 6.0) * (k1m + 2 * k2m + 2 * k3m + k4m)
+        cov = cov + (h / 6.0) * (k1c + 2 * k2c + 2 * k3c + k4c)
+        t += h
+    return m, 0.5 * (cov + cov.T)
+
+
+def td_ou_law_quad(x0, v0, c, a_scale, rate_integral, t):
+    """Mean and variance of dX = (-r(s) X + c) ds + sqrt(2 a) dW at time t.
+
+    rate_integral(s) = int_0^s r.  With R = rate_integral, the moments are
+    m = e^{-R(t)} (x0 + c int_0^t e^{R}) and
+    v = e^{-2R(t)} (v0 + 2a int_0^t e^{2R}), the integrals by adaptive
+    quadrature.
+    """
+    grow, _ = quad(lambda s: np.exp(rate_integral(s)), 0.0, t, epsabs=0.0, epsrel=1e-13, limit=200)
+    grow2, _ = quad(lambda s: np.exp(2.0 * rate_integral(s)), 0.0, t, epsabs=0.0, epsrel=1e-13, limit=200)
+    decay = np.exp(-rate_integral(t))
+    return decay * (x0 + c * grow), decay**2 * (v0 + 2.0 * a_scale * grow2)

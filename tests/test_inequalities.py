@@ -120,6 +120,17 @@ class TestMismatchSingularity:
         assert rep.verdict == "divergent"
         assert "diffusion-gap" in rep.notes
 
+    def test_all_divergent_reports_largest_known_entropy(self):
+        # no finite bound to bind: left is the largest supplied true entropy,
+        # KL(N(0, 2s) | N(0, 4s)) = (ln 2 - 1/2)/2 for the a=1 vs a=2 gap
+        t = 0.5
+        gap = self._case("diffusion-gap", t)
+        unknown = MismatchCase(gap.field1, gap.field2, gap.law_provider, None, "unknown")
+        rep = mismatch_singularity_experiment([unknown, gap], t, n_mc=100, seed=5, n_nodes=16)
+        assert rep.verdict == "divergent"
+        assert rep.left == pytest.approx(0.5 * (math.log(2.0) - 0.5), abs=1e-12)
+        assert math.isinf(rep.right)
+
     def test_combined_pair_reproduces_pattern(self):
         t = 0.5
         rep = mismatch_singularity_experiment(

@@ -15,6 +15,7 @@ from entroflow import (
     gaussian_sample,
     kl_gaussian,
     linear_sde_law,
+    linear_sde_laws,
     mismatch_bound,
     mismatch_field,
     score_gaussian,
@@ -28,7 +29,9 @@ from entroflow.catalog import (
     ou_field,
     ou_spec,
 )
+from entroflow.oracles import RK4_STEPS
 
+from _refs import rk4_moments_fixed, td_ou_law_quad
 
 
 class TestLinearLaw:
@@ -109,6 +112,148 @@ class TestLinearLaw:
             se_v = math.sqrt(2 * law.cov[0, 0] ** 2 / n)
             assert abs(got.mean()[0] - law.mean[0]) < 3 * se_m + 3e-3
             assert abs(got.cov()[0, 0] - law.cov[0, 0]) < 3 * se_v + 5e-3
+
+
+def _rate(t):
+    return 1.0 + 0.5 * math.sin(2.0 * math.pi * t)
+
+
+def _rate_integral(t):
+    return t + (1.0 - math.cos(2.0 * math.pi * t)) / (4.0 * math.pi)
+
+
+class _Counted:
+    """Coefficient callable that records every time it is evaluated at."""
+
+    def __init__(self, fn):
+        self.fn = fn
+        self.times = []
+
+    def __call__(self, t):
+        self.times.append(t)
+        return self.fn(t)
+
+
+def _td_ou_spec(horizon, x0=1.0, v0=0.0, c=0.3, a_scale=0.7, counted=False):
+    # dX = (-r(t) X + c) dt + sqrt(2a) dW with r(t) = 1 + 0.5 sin(2 pi t)
+    fns = [
+        lambda t: -_rate(t) * np.eye(1),
+        lambda t: np.full(1, c),
+        lambda t: math.sqrt(2.0 * a_scale) * np.eye(1),
+    ]
+    if counted:
+        fns = [_Counted(fn) for fn in fns]
+    if v0 > 0:
+        spec = LinearSDESpec.from_gaussian(GaussianMeasure([x0], [[v0]]), *fns, horizon=horizon)
+    else:
+        spec = LinearSDESpec.from_point([x0], *fns, horizon=horizon)
+    return (spec, fns) if counted else spec
+
+
+class TestMomentPath:
+    def test_time_dependent_laws_match_quadrature(self):
+        # both entry points against the quadrature closed form, from
+        # horizon * 1e-12 to the horizon, and on a horizon past the queries
+        cases = [(1.0, 1.0, 0.0, 1.0), (0.5, -0.4, 0.3, 0.5), (2.0, 1.0, 0.0, 1.0)]
+        for horizon, x0, v0, t_max in cases:
+            spec = _td_ou_spec(horizon, x0=x0, v0=v0)
+            times = t_max * np.geomspace(1e-12, 1.0, 13)
+            batched = linear_sde_laws(spec, times)
+            for t, law_b in zip(times, batched):
+                m, v = td_ou_law_quad(x0, v0, 0.3, 0.7, _rate_integral, t)
+                for law in (linear_sde_law(spec, t), law_b):
+                    assert law.mean[0] == pytest.approx(m, rel=1e-10, abs=0)
+                    assert law.cov[0, 0] == pytest.approx(v, rel=1e-10, abs=0)
+
+    def test_horizon_law_bit_identical_to_fixed_800_steps(self):
+        g = GaussianMeasure([0.5, -0.2], [[0.4, 0.1], [0.1, 0.3]])
+        a_fn = lambda t: np.array([[-_rate(t), 0.3], [0.1 * t, -1.0]])
+        c_fn = lambda t: np.array([t, 1.0])
+        s_fn = lambda t: np.array([[1.0, 0.2 * t], [0.0, 1.1]])
+        for horizon in (0.007, 0.5, 1.0, 3.0):
+            spec = LinearSDESpec.from_gaussian(g, a_fn, c_fn, s_fn, horizon=horizon)
+            law = linear_sde_law(spec, spec.horizon)
+            m, cov = rk4_moments_fixed(a_fn, c_fn, s_fn, g.mean, g.cov, 0.0, horizon)
+            assert np.array_equal(law.mean, m)
+            assert np.array_equal(law.cov, cov)
+            # a bridge switched at 0 runs the second spec alone from the point
+            x1 = np.array([0.3, 0.1])
+            point = LinearSDESpec.from_point(x1, a_fn, c_fn, s_fn, horizon=horizon)
+            law = bridge_law_linear(point, point, x1, 0.0, horizon)
+            m, cov = rk4_moments_fixed(a_fn, c_fn, s_fn, x1, np.zeros((2, 2)), 0.0, horizon)
+            assert np.array_equal(law.mean, m)
+            assert np.array_equal(law.cov, cov)
+
+    def test_span_steps_and_evaluations(self):
+        # a span tau takes n = ceil(800 tau / horizon) steps and evaluates
+        # each coefficient 2n + 1 times, at distinct stage times; a full
+        # horizon takes 800 steps even where 800 * tau / horizon rounds up
+        assert math.ceil(RK4_STEPS * 0.007 / 0.007) == RK4_STEPS + 1
+        cases = [
+            (1.0, 0.3137, math.ceil(RK4_STEPS * 0.3137)),
+            (2.0, 1e-7, 1),
+            (0.5, 0.5, RK4_STEPS),
+            (0.007, 0.007, RK4_STEPS),
+        ]
+        for horizon, t, n in cases:
+            spec, fns = _td_ou_spec(horizon, counted=True)
+            law = linear_sde_law(spec, t)
+            for fn in fns:
+                assert len(fn.times) == 2 * n + 1
+                assert len(set(fn.times)) == 2 * n + 1
+            m, cov = rk4_moments_fixed(*(fn.fn for fn in fns), spec.initial_mean, spec.initial_cov, 0.0, t, n)
+            assert np.array_equal(law.mean, m)
+            assert np.array_equal(law.cov, cov)
+
+    def test_bridge_spans_follow_each_horizon(self):
+        s1, fns1 = _td_ou_spec(1.0, counted=True)
+        s2, fns2 = _td_ou_spec(2.0, counted=True)
+        t0, t1 = 0.25, 0.75
+        bridge_law_linear(s1, s2, [1.0], t0, t1)
+        n1 = math.ceil(RK4_STEPS * t0 / 1.0)
+        n2 = math.ceil(RK4_STEPS * (t1 - t0) / 2.0)
+        assert all(len(fn.times) == 2 * n1 + 1 for fn in fns1)
+        assert all(len(fn.times) == 2 * n2 + 1 for fn in fns2)
+        assert min(fns2[0].times) == t0
+
+    def test_grid_is_one_forward_pass(self):
+        spec, fns = _td_ou_spec(1.0, counted=True)
+        times = np.geomspace(0.01, 1.0, 12)
+        laws = linear_sde_laws(spec, times)
+        assert len(laws) == 12
+        # each of the 12 spans evaluates its start once plus 2 per step
+        steps = (len(fns[0].times) - 12) // 2
+        assert steps <= RK4_STEPS + 12
+        # a repeated time is a zero-length span that leaves the law as it is
+        again = linear_sde_laws(_td_ou_spec(1.0), [0.5, 0.5])
+        assert np.array_equal(again[0].mean, again[1].mean)
+        assert np.array_equal(again[0].cov, again[1].cov)
+
+    def test_laws_reject_bad_times(self):
+        spec = _td_ou_spec(1.0)
+        for bad in ([0.5, 0.2], [0.0, 0.5], [-0.1], [0.5, 1.5], [math.nan]):
+            with pytest.raises(OracleError):
+                linear_sde_laws(spec, bad)
+        assert linear_sde_laws(spec, []) == []
+
+    def test_constant_coefficients_byte_identical(self):
+        g = GaussianMeasure([0.5, -1.0], [[0.6, 0.2], [0.2, 0.4]])
+        specs = [
+            ou_spec(2, rate=0.8, a_scale=0.5, x0=[1.0, -2.0], horizon=2.0),
+            heat_spec(1, 1.5, x0=[0.3]),
+            LinearSDESpec.from_gaussian(g, [[-1.0, 0.4], [0.0, -0.5]], [0.2, 0.1], [[1.0, 0.0], [0.3, 0.8]]),
+        ]
+        times = [1e-9, 0.01, 0.3, 0.3, 0.9, 1.0]
+        for spec in specs:
+            for t, law in zip(times, linear_sde_laws(spec, times)):
+                ref = linear_sde_law(spec, t)
+                assert np.array_equal(law.mean, ref.mean)
+                assert np.array_equal(law.cov, ref.cov)
+
+    def test_horizon_must_be_positive(self):
+        for horizon in (0.0, -1.0, math.inf):
+            with pytest.raises(OracleError):
+                heat_spec(1, x0=[0.0], horizon=horizon)
 
 
 class TestScore:

@@ -126,24 +126,18 @@ _EC_PARAMS = {
 }
 
 
+#: pair -> catalog name and diffusion-scale parameter of the second field;
+#: the first field is always heat with diffusion scale a1
+_MISMATCH_SECOND = {"drift-gap": ("drift-gap", "a1"), "diffusion-gap": ("heat", "a2"), "equal": ("heat", "a1")}
+
+
 def _run_mismatch(p, seed):
     d, t = p["d"], p["t"]
-    x0 = np.zeros(d)
-    if p["pair"] == "drift-gap":
-        f1 = catalog.heat_field(d, p["a1"], horizon=t)
-        f2 = catalog.constant_drift_field(d, p["c"], p["a1"], horizon=t)
-        s1 = catalog.heat_spec(d, p["a1"], x0=x0, horizon=t)
-        s2 = catalog.constant_drift_spec(d, p["c"], p["a1"], x0=x0, horizon=t)
-    elif p["pair"] == "diffusion-gap":
-        f1 = catalog.heat_field(d, p["a1"], horizon=t)
-        f2 = catalog.heat_field(d, p["a2"], horizon=t)
-        s1 = catalog.heat_spec(d, p["a1"], x0=x0, horizon=t)
-        s2 = catalog.heat_spec(d, p["a2"], x0=x0, horizon=t)
-    elif p["pair"] == "equal":
-        f1 = f2 = catalog.heat_field(d, p["a1"], horizon=t)
-        s1 = s2 = catalog.heat_spec(d, p["a1"], x0=x0, horizon=t)
-    else:
-        raise CliError(f"unknown pair {p['pair']!r}")
+    name2, a2 = _MISMATCH_SECOND[p["pair"]]
+    f1 = catalog.make_field("heat", d, horizon=t, a=p["a1"])
+    s1 = catalog.make_linear_spec("heat", d, horizon=t, a=p["a1"])
+    f2 = catalog.make_field(name2, d, horizon=t, a=p[a2], c=p["c"])
+    s2 = catalog.make_linear_spec(name2, d, horizon=t, a=p[a2], c=p["c"])
     true_ent = kl_gaussian(linear_sde_law(s1, t), linear_sde_law(s2, t))
     case = MismatchCase(
         field1=f1,

@@ -9,10 +9,18 @@ splits into a bounded Dini-continuous part and a Lipschitz part; sampled
 invariant checks live on the field object because user fields are black
 boxes.
 
-Everything is integrated by Euler-Maruyama on a shared stepping core, with
-one counter-based noise substream per path.  All weak-error checks in the
+Everything, the interacting particle systems of `meanfield` included, is
+integrated by Euler-Maruyama in one time loop, `_integrate`, with one
+counter-based noise substream per path.  All weak-error checks in the
 package are satisfied by Euler-Maruyama, so no higher-order scheme is
 carried.
+
+Blow-up policy: a path whose state turns non-finite is listed in
+`PathEnsemble.aborted` and is NaN from that node on; the other paths
+continue.  An interacting ensemble halts at its first blow-up, all particles
+NaN from that node on, because a non-finite particle corrupts the empirical
+measure every particle sees.  Slices of an ensemble with aborted paths raise
+BlowUpError.
 """
 
 import csv
@@ -178,19 +186,24 @@ class CoefficientField:
                 raise DynamicsError("sampled Lipschitz quotient exceeds the bound")
         return self
 
-    def div_a(self, t, x, step=1e-4):
+    def div_a(self, t, x):
         """Row divergence of a, analytic when provided, else central differences."""
         if self.div_a_fn is not None:
             return self.div_a_fn(t, x)
-        x = np.asarray(x, dtype=float)
-        out = np.zeros_like(x)
-        for l in range(self.dim):
-            e = np.zeros(self.dim)
-            e[l] = step
-            hi = self.diffusion(t, x + e)
-            lo = self.diffusion(t, x - e)
-            out += (hi[:, :, l] - lo[:, :, l]) / (2.0 * step)
-        return out
+        return _central_div(self.diffusion, t, x)
+
+
+def _central_div(diffusion, t, x, step=1e-4):
+    """Row divergence sum_l d a_il / d x_l of diffusion(t, x) -> (n, d, d) by central differences."""
+    x = np.asarray(x, dtype=float)
+    out = np.zeros_like(x)
+    for l in range(x.shape[1]):
+        e = np.zeros(x.shape[1])
+        e[l] = step
+        hi = diffusion(t, x + e)
+        lo = diffusion(t, x - e)
+        out += (hi[:, :, l] - lo[:, :, l]) / (2.0 * step)
+    return out
 
 
 @dataclass(frozen=True)
@@ -238,6 +251,8 @@ class PathEnsemble:
     paths: np.ndarray  # (n_paths, n_nodes, d)
     noise_mode: str
     seed: int
+    #: sorted paths that turned non-finite, NaN from their blow-up node on (all
+    #: paths are, in an interacting ensemble); no slice can then be taken
     aborted: tuple = ()
 
     @property
@@ -280,7 +295,8 @@ class CoupledPair:
 
     The separation is integrated as its own Euler recursion of the difference
     equation, so equal coefficients cancel before any rounding: the additive
-    equal-noise case keeps it constant at bit level.
+    equal-noise case keeps it constant at bit level.  A pair that blows up is
+    aborted in both ensembles and its separation is NaN from then on.
     """
 
     first: PathEnsemble
@@ -317,32 +333,58 @@ def _increments(times, normals):
 
 
 def _step(x, t, h, drift_fn, sigma_fn, dw):
-    """Shared Euler-Maruyama step: x + b(t,x) h + sigma(t,x) dW."""
+    """Euler-Maruyama step: x + b(t,x) h + sigma(t,x) dW."""
     b = drift_fn(t, x)
     sig = sigma_fn(t, x)
     return x + b * h + np.einsum("nij,nj->ni", sig, dw)
 
 
-def _integrate(x0_rows, times, drift_fn, sigma_fn, increments):
-    n_paths, d = x0_rows.shape
-    n_nodes = times.size
-    paths = np.empty((n_paths, n_nodes, d))
+def _integrate(x0_rows, times, advance, increments, interacting=False):
+    """The package's one Euler time loop, under the module's blow-up policy.
+
+    advance(t, h, x, dw) returns the (n_rows, width) state at t + h as a new
+    array, given the state x at t and the rows' Brownian increments dw over
+    the step.  An interacting ensemble halts at its first blow-up; otherwise
+    only the rows that blew up stop.  Returns the (n_rows, n_nodes, width)
+    paths and the sorted tuple of aborted rows.
+    """
+    n_rows, width = x0_rows.shape
+    paths = np.empty((n_rows, times.size, width))
     paths[:, 0, :] = x0_rows
-    x = x0_rows.copy()
-    alive = np.ones(n_paths, dtype=bool)
+    x = x0_rows
+    alive = np.ones(n_rows, dtype=bool)
     aborted = []
-    for k in range(n_nodes - 1):
-        h = times[k + 1] - times[k]
+    for k in range(times.size - 1):
         with np.errstate(over="ignore", invalid="ignore"):
-            x_new = _step(x, times[k], h, drift_fn, sigma_fn, increments[:, k, :])
-        bad = alive & ~np.all(np.isfinite(x_new), axis=1)
-        if np.any(bad):
-            aborted.extend(int(i) for i in np.nonzero(bad)[0])
-            alive &= ~bad
+            x_new = advance(times[k], times[k + 1] - times[k], x, increments[:, k, :])
+        # rows are checked one by one only once some value is not finite
+        if aborted or not np.isfinite(x_new).all():
+            bad = alive & ~np.all(np.isfinite(x_new), axis=1)
+            if np.any(bad):
+                aborted.extend(np.nonzero(bad)[0].tolist())
+                if interacting:
+                    paths[:, k + 1 :, :] = np.nan
+                    break
+                alive &= ~bad
             x_new[~alive] = np.nan
-        x = np.where(alive[:, None], x_new, np.nan)
-        paths[:, k + 1, :] = x
+        paths[:, k + 1, :] = x = x_new
     return paths, tuple(sorted(aborted))
+
+
+def _start_rows(x0, dim, n_rows):
+    """The start point x0 on each of n_rows rows; it must have dim coordinates."""
+    x0 = np.asarray(x0, dtype=float).reshape(-1)
+    if x0.size != dim:
+        raise DynamicsError(f"start point has {x0.size} coordinates, the field has {dim}")
+    return np.tile(x0, (n_rows, 1))
+
+
+def _ensemble(x0, dim, times, seed, n_paths, advance):
+    """Independent-noise ensemble of n_paths paths from the point x0."""
+    x0_rows = _start_rows(x0, dim, n_paths)
+    incs = _increments(times, path_normals(seed, n_paths, times.size - 1, dim))
+    paths, aborted = _integrate(x0_rows, times, advance, incs)
+    return PathEnsemble(times=times, paths=paths, noise_mode="independent", seed=seed, aborted=aborted)
 
 
 def euler_maruyama(field, x0, times, seed, n_paths=1):
@@ -352,56 +394,44 @@ def euler_maruyama(field, x0, times, seed, n_paths=1):
     drift evaluated as the Dini part plus the Lipschitz part.  Path i consumes
     the substream keyed (seed, i); ensembles are bit-reproducible.
     """
-    times = np.asarray(times, dtype=float)
-    x0 = np.asarray(x0, dtype=float).reshape(-1)
-    if x0.size != field.dim:
-        raise DynamicsError("x0 dimension does not match the field")
-    normals = path_normals(seed, n_paths, times.size - 1, field.dim)
-    incs = _increments(times, normals)
-    x0_rows = np.tile(x0, (n_paths, 1))
-    paths, aborted = _integrate(x0_rows, times, field.drift, field.sigma, incs)
-    return PathEnsemble(times=times, paths=paths, noise_mode="independent", seed=seed, aborted=aborted)
+
+    def advance(t, h, x, dw):
+        return _step(x, t, h, field.drift, field.sigma, dw)
+
+    return _ensemble(x0, field.dim, np.asarray(times, dtype=float), seed, n_paths, advance)
 
 
 def synchronous_pair(field1, field2, x1, x2, times, seed, n_pairs=1):
     """Two diffusions driven by the same Brownian increments.
 
-    The first component is stepped exactly like euler_maruyama (bit-identical
-    under the same seed); the difference D = X1 - X2 is stepped by the Euler
-    update of the difference equation and the second component recomposed as
-    X1 - D.  Marginals of both components follow their single-SDE laws.
+    The stepped state is [X1, D] with D = X1 - X2.  The first component is
+    stepped exactly like euler_maruyama (bit-identical under the same seed);
+    D is stepped by the Euler update of the difference equation and the
+    second component recomposed as X1 - D.  Marginals of both components
+    follow their single-SDE laws.
     """
     if field1.dim != field2.dim:
         raise DynamicsError("field dimensions differ")
     times = np.asarray(times, dtype=float)
-    x1 = np.asarray(x1, dtype=float).reshape(-1)
-    x2 = np.asarray(x2, dtype=float).reshape(-1)
     d = field1.dim
-    normals = path_normals(seed, n_pairs, times.size - 1, d)
-    incs = _increments(times, normals)
-    n_nodes = times.size
-    p1 = np.empty((n_pairs, n_nodes, d))
-    p2 = np.empty((n_pairs, n_nodes, d))
-    sep = np.empty((n_pairs, n_nodes))
-    x = np.tile(x1, (n_pairs, 1))
-    diff = np.tile(x1 - x2, (n_pairs, 1))
-    p1[:, 0, :] = x
-    p2[:, 0, :] = x - diff
-    sep[:, 0] = np.linalg.norm(diff, axis=1)
-    for k in range(n_nodes - 1):
-        t, h = times[k], times[k + 1] - times[k]
-        dw = incs[:, k, :]
+    x = _start_rows(x1, d, n_pairs)
+    state0 = np.hstack([x, x - _start_rows(x2, d, n_pairs)])
+
+    def advance(t, h, state, dw):
+        x, diff = state[:, :d], state[:, d:]
         y = x - diff
-        db = field1.drift(t, x) - field2.drift(t, y)
-        dsig = field1.sigma(t, x) - field2.sigma(t, y)
-        x = _step(x, t, h, field1.drift, field1.sigma, dw)
-        diff = diff + db * h + np.einsum("nij,nj->ni", dsig, dw)
-        p1[:, k + 1, :] = x
-        p2[:, k + 1, :] = x - diff
-        sep[:, k + 1] = np.linalg.norm(diff, axis=1)
-    ens1 = PathEnsemble(times=times, paths=p1, noise_mode="shared", seed=seed)
-    ens2 = PathEnsemble(times=times, paths=p2, noise_mode="shared", seed=seed)
-    return CoupledPair(first=ens1, second=ens2, separation=sep)
+        b1, sig1 = field1.drift(t, x), field1.sigma(t, x)
+        db = b1 - field2.drift(t, y)
+        dsig = sig1 - field2.sigma(t, y)
+        x_new = x + b1 * h + np.einsum("nij,nj->ni", sig1, dw)
+        return np.hstack([x_new, diff + db * h + np.einsum("nij,nj->ni", dsig, dw)])
+
+    incs = _increments(times, path_normals(seed, n_pairs, times.size - 1, d))
+    paths, aborted = _integrate(state0, times, advance, incs)
+    x, diff = paths[:, :, :d].copy(), paths[:, :, d:].copy()
+    ens1 = PathEnsemble(times=times, paths=x, noise_mode="shared", seed=seed, aborted=aborted)
+    ens2 = PathEnsemble(times=times, paths=x - diff, noise_mode="shared", seed=seed, aborted=aborted)
+    return CoupledPair(first=ens1, second=ens2, separation=np.linalg.norm(diff, axis=2))
 
 
 def bridge_path(spec, x1, times, seed, n_paths=1):
@@ -414,20 +444,12 @@ def bridge_path(spec, x1, times, seed, n_paths=1):
     times = refine_grid(np.asarray(times, dtype=float), spec.t0)
     if times[-1] < spec.t1 - 1e-12:
         raise DynamicsError("grid must reach t1")
-    t0 = spec.t0
 
-    def drift(t, x):
-        return spec.field1.drift(t, x) if t < t0 else spec.field2.drift(t, x)
+    def advance(t, h, x, dw):
+        field = spec.field1 if t < spec.t0 else spec.field2
+        return _step(x, t, h, field.drift, field.sigma, dw)
 
-    def sigma(t, x):
-        return spec.field1.sigma(t, x) if t < t0 else spec.field2.sigma(t, x)
-
-    x1 = np.asarray(x1, dtype=float).reshape(-1)
-    normals = path_normals(seed, n_paths, times.size - 1, spec.field1.dim)
-    incs = _increments(times, normals)
-    x0_rows = np.tile(x1, (n_paths, 1))
-    paths, aborted = _integrate(x0_rows, times, drift, sigma, incs)
-    return PathEnsemble(times=times, paths=paths, noise_mode="independent", seed=seed, aborted=aborted)
+    return _ensemble(x1, spec.field1.dim, times, seed, n_paths, advance)
 
 
 # --------------------------------------------------------------------------

@@ -6,6 +6,12 @@ step (no lagging) and passed to the coefficients as an immutable snapshot.
 Particles carry independent counter-based noise substreams keyed by
 (seed, particle index), so a field that ignores the measure argument
 reproduces independent single-SDE paths bit for bit.
+
+Clouds are stepped by the Euler loop of `dynamics` under its blow-up policy
+for interacting ensembles: the first particle that turns non-finite halts
+the cloud, because it corrupts the empirical measure every particle sees.
+`evolve_particles` lists it in `PathEnsemble.aborted`;
+`w2_stability_experiment` raises DynamicsError.
 """
 
 from dataclasses import dataclass
@@ -14,8 +20,8 @@ from typing import Callable, Optional
 import numpy as np
 
 from ._rng import INIT, path_normals, substream
-from .dynamics import DynamicsError, PathEnsemble, _batch_spd_sqrt, _increments, _step
-from .measures import EmpiricalMeasure, GaussianMeasure
+from .dynamics import DynamicsError, PathEnsemble, _batch_spd_sqrt, _central_div, _increments, _integrate, _step
+from .measures import EmpiricalMeasure, GaussianMeasure, _gaussian_points
 from .reports import ExperimentReport, classify
 from .transport import gaussian_optimal_map, optimal_coupling_discrete, w2_exact
 
@@ -57,17 +63,10 @@ class MVCoefficientField:
             return self.sigma_fn(t, x, mu)
         return _batch_spd_sqrt(2.0 * self.diffusion(t, x, mu))
 
-    def div_a(self, t, x, mu, step=1e-4):
+    def div_a(self, t, x, mu):
         if self.div_a_fn is not None:
             return self.div_a_fn(t, x, mu)
-        out = np.zeros_like(x)
-        for l in range(self.dim):
-            e = np.zeros(self.dim)
-            e[l] = step
-            hi = self.diffusion(t, x + e, mu)
-            lo = self.diffusion(t, x - e, mu)
-            out += (hi[:, :, l] - lo[:, :, l]) / (2.0 * step)
-        return out
+        return _central_div(lambda t_, x_: self.diffusion(t_, x_, mu), t, x)
 
     @classmethod
     def from_static(cls, field, label=""):
@@ -112,8 +111,7 @@ class MVCoefficientField:
 def _initial_cloud(init, n, seed, stream):
     rng = substream(seed, INIT, 0, stream)
     if isinstance(init, GaussianMeasure):
-        z = rng.standard_normal((n, init.dim))
-        return init.mean + z @ init.cholesky().T
+        return _gaussian_points(init, n, rng)
     if isinstance(init, EmpiricalMeasure):
         if init.n_points == n and init.is_uniform():
             return init.points.copy()
@@ -122,46 +120,39 @@ def _initial_cloud(init, n, seed, stream):
     raise DynamicsError("init must be a GaussianMeasure or EmpiricalMeasure")
 
 
+def _particle_paths(field, x0, times, seed, stream):
+    """Paths and aborted particles of the cloud started at the rows of x0.
+
+    Each step hands the coefficients the uniform empirical measure of the
+    current cloud; the particle in row i draws the noise substream keyed
+    (seed, stream, i).
+    """
+    if x0.shape[1] != field.dim:
+        raise DynamicsError(f"initial cloud has dimension {x0.shape[1]}, the field has {field.dim}")
+
+    def advance(t, h, x, dw):
+        mu = EmpiricalMeasure(x)
+        return _step(x, t, h, lambda s, y: field.drift(s, y, mu), lambda s, y: field.sigma(s, y, mu), dw)
+
+    incs = _increments(times, path_normals(seed, x0.shape[0], times.size - 1, field.dim, stream))
+    return _integrate(x0, times, advance, incs, interacting=True)
+
+
 def evolve_particles(field, init, n_particles, times, seed, stream=0):
     """N-particle system with empirical-measure feedback.
 
     Each step rebuilds the uniform empirical measure of the current cloud and
     feeds it to the coefficients; particles then update in parallel with
     their own noise substreams.  N = 1 is accepted (degenerate
-    self-interaction: the cloud's law is the particle's own position).
+    self-interaction: the cloud's law is the particle's own position).  A
+    blow-up halts the ensemble (see the module docstring).
     """
     if n_particles < 1:
         raise DynamicsError("need at least one particle")
     times = np.asarray(times, dtype=float)
     x = _initial_cloud(init, n_particles, seed, stream)
-    normals = path_normals(seed, n_particles, times.size - 1, field.dim, stream)
-    incs = _increments(times, normals)
-    n_nodes = times.size
-    paths = np.empty((n_particles, n_nodes, field.dim))
-    paths[:, 0, :] = x
-    aborted = ()
-    for k in range(n_nodes - 1):
-        t, h = times[k], times[k + 1] - times[k]
-        mu_hat = EmpiricalMeasure(x)
-        with np.errstate(over="ignore", invalid="ignore"):
-            x = _step(
-                x,
-                t,
-                h,
-                lambda t_, x_: field.drift(t_, x_, mu_hat),
-                lambda t_, x_: field.sigma(t_, x_, mu_hat),
-                incs[:, k, :],
-            )
-        bad = ~np.all(np.isfinite(x), axis=1)
-        if np.any(bad):
-            # the measure feedback is corrupted: flag and abort the ensemble
-            aborted = tuple(int(i) for i in np.nonzero(bad)[0])
-            paths[:, k + 1 :, :] = np.nan
-            break
-        paths[:, k + 1, :] = x
-    return PathEnsemble(
-        times=times, paths=paths, noise_mode="independent", seed=seed, aborted=aborted
-    )
+    paths, aborted = _particle_paths(field, x, times, seed, stream)
+    return PathEnsemble(times=times, paths=paths, noise_mode="independent", seed=seed, aborted=aborted)
 
 
 def flow_map(field, mu0, t, n_particles, n_steps, seed, stream=0):
@@ -176,55 +167,25 @@ def flow_map(field, mu0, t, n_particles, n_steps, seed, stream=0):
 
 
 def _coupled_initial_clouds(nu1, nu2, n, seed):
-    """N position pairs sampled from an optimal coupling of (nu1, nu2)."""
+    """N position pairs sampled from an optimal coupling of (nu1, nu2).
+
+    The pair is two Gaussians or two empirical measures: w2_exact rejects
+    any other pair before the clouds are drawn.
+    """
     rng = substream(seed, INIT, 1)
-    if isinstance(nu1, GaussianMeasure) and isinstance(nu2, GaussianMeasure):
-        z = rng.standard_normal((n, nu1.dim))
-        x = nu1.mean + z @ nu1.cholesky().T
+    if isinstance(nu1, GaussianMeasure):
+        x = _gaussian_points(nu1, n, rng)
         a, b = gaussian_optimal_map(nu1, nu2)
         return x, x @ a.T + b
-    emp1 = nu1 if isinstance(nu1, EmpiricalMeasure) else gaussian_to_cloud(nu1, n, seed)
-    emp2 = nu2 if isinstance(nu2, EmpiricalMeasure) else gaussian_to_cloud(nu2, n, seed + 1)
-    plan = optimal_coupling_discrete(emp1, emp2)
-    flat = plan.matrix.ravel()
-    flat = np.maximum(flat, 0.0)
+    plan = optimal_coupling_discrete(nu1, nu2)
+    flat = np.maximum(plan.matrix.ravel(), 0.0)
     flat /= flat.sum()
     idx = rng.choice(flat.size, size=n, p=flat)
     ii, jj = np.unravel_index(idx, plan.matrix.shape)
-    return emp1.points[ii].copy(), emp2.points[jj].copy()
+    return nu1.points[ii].copy(), nu2.points[jj].copy()
 
 
-def gaussian_to_cloud(g, n, seed):
-    rng = substream(seed, INIT, 2)
-    z = rng.standard_normal((n, g.dim))
-    return EmpiricalMeasure(g.mean + z @ g.cholesky().T)
-
-
-def _evolve_from_positions(field, x0, times, seed, stream):
-    n, d = x0.shape
-    normals = path_normals(seed, n, times.size - 1, d, stream)
-    incs = _increments(times, normals)
-    paths = np.empty((n, times.size, d))
-    paths[:, 0, :] = x0
-    x = x0.copy()
-    for k in range(times.size - 1):
-        t, h = times[k], times[k + 1] - times[k]
-        mu_hat = EmpiricalMeasure(x)
-        x = _step(
-            x,
-            t,
-            h,
-            lambda t_, x_: field.drift(t_, x_, mu_hat),
-            lambda t_, x_: field.sigma(t_, x_, mu_hat),
-            incs[:, k, :],
-        )
-        if not np.all(np.isfinite(x)):
-            raise DynamicsError("particle blow-up during stability experiment")
-        paths[:, k + 1, :] = x
-    return paths
-
-
-def _w2_cloud_ratio(p1, p2, idx, w0, n_batches=8):
+def _w2_cloud_ratio(p1, p2, idx, n_batches=8):
     """W2 between two clouds at a time slice, with a batch standard error."""
     a, b = p1[:, idx, :], p2[:, idx, :]
     full = w2_exact(EmpiricalMeasure(a), EmpiricalMeasure(b))
@@ -245,7 +206,8 @@ def w2_stability_experiment(field, nu1, nu2, t_grid, n_particles, n_steps, seed,
     W2(cloud1_t, cloud2_t) / W2(nu1, nu2) over the time grid.  With no
     reference bound the verdict is "holds" and the measured constant is
     recorded (rate-only check); a supplied bound is compared at 3 batch
-    standard errors.
+    standard errors.  A particle blow-up in either cloud raises
+    DynamicsError.
     """
     t_grid = np.asarray(t_grid, dtype=float)
     t_end = float(t_grid.max())
@@ -264,12 +226,14 @@ def w2_stability_experiment(field, nu1, nu2, t_grid, n_particles, n_steps, seed,
     x1, x2 = _coupled_initial_clouds(nu1, nu2, n_particles, seed)
     times = np.linspace(0.0, t_end, int(n_steps) + 1)
     times = np.unique(np.concatenate([times, t_grid]))
-    p1 = _evolve_from_positions(field, x1, times, seed, stream=0)
-    p2 = _evolve_from_positions(field, x2, times, seed, stream=0)
+    p1, aborted1 = _particle_paths(field, x1, times, seed, stream=0)
+    p2, aborted2 = _particle_paths(field, x2, times, seed, stream=0)
+    if aborted1 or aborted2:
+        raise DynamicsError("particle blow-up during stability experiment")
     ratios, ses, rows = [], [], []
     for t in t_grid:
         idx = int(np.argmin(np.abs(times - t)))
-        w, se = _w2_cloud_ratio(p1, p2, idx, w0)
+        w, se = _w2_cloud_ratio(p1, p2, idx)
         ratios.append(w / w0)
         ses.append(se / w0)
         rows.append((float(t), w, w0))

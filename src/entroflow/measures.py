@@ -199,9 +199,14 @@ def gaussian_sample(g, n, seed):
         raise MeasureError("gaussian_sample needs a GaussianMeasure")
     if n < 1:
         raise MeasureError("need n >= 1 samples")
-    rng = substream(seed, DRAW, 0)
+    return EmpiricalMeasure(_gaussian_points(g, n, substream(seed, DRAW, 0)))
+
+
+def _gaussian_points(g, n, rng):
+    """(n, d) draws from the GaussianMeasure g: mean + z L' with z standard
+    normal from the generator rng and L the Cholesky factor of the covariance."""
     z = rng.standard_normal((int(n), g.dim))
-    return EmpiricalMeasure(g.mean + z @ g.cholesky().T)
+    return g.mean + z @ g.cholesky().T
 
 
 def second_moment(m):

@@ -25,8 +25,8 @@ import numpy as np
 from scipy.linalg import expm
 
 from ._rng import DRAW, substream
-from .measures import GaussianMeasure, MeasureError
-from .dynamics import DynamicsError
+from .measures import GaussianMeasure, MeasureError, _gaussian_points
+from .dynamics import DynamicsError, _central_div
 
 __all__ = [
     "LinearSDESpec",
@@ -282,21 +282,9 @@ def mismatch_field(field1, field2, law1, s, y):
     if field1.div_a_fn is not None and field2.div_a_fn is not None:
         div = field1.div_a(s, pts) - field2.div_a(s, pts)
     else:
-        div = _div_difference(field1, field2, s, pts)
+        div = _central_div(lambda s_, x_: field1.diffusion(s_, x_) - field2.diffusion(s_, x_), s, pts)
     out = first + div + field2.drift(s, pts) - field1.drift(s, pts)
     return out[0] if single else out
-
-
-def _div_difference(field1, field2, s, pts, step=1e-4):
-    d = field1.dim
-    out = np.zeros_like(pts)
-    for l in range(d):
-        e = np.zeros(d)
-        e[l] = step
-        hi = field1.diffusion(s, pts + e) - field2.diffusion(s, pts + e)
-        lo = field1.diffusion(s, pts - e) - field2.diffusion(s, pts - e)
-        out += (hi[:, :, l] - lo[:, :, l]) / (2.0 * step)
-    return out
 
 
 @dataclass
@@ -321,9 +309,7 @@ def _node_values(field1, field2, law_provider, breakpoints, n_mc, seed, node_off
     for j, s in enumerate(mids):
         law = law_provider(s)
         if isinstance(law, GaussianMeasure):
-            rng = substream(seed, DRAW, node_offset + j)
-            z = rng.standard_normal((n_mc, law.dim))
-            draws = law.mean + z @ law.cholesky().T
+            draws = _gaussian_points(law, n_mc, substream(seed, DRAW, node_offset + j))
             score_law = law
         else:
             draws = law.points

@@ -2,13 +2,17 @@
 
 Everything here is deliberately brute force (quadrature, exhaustive
 enumeration, dense ODE stepping) and shares no code with the package paths
-it checks.
+it checks.  The two Euler loops at the end are written out step by step as
+references for the package's shared stepping core; they take the Brownian
+increments as input, so they check the stepping and not the noise.
 """
 
 import itertools
 
 import numpy as np
 from scipy.integrate import quad
+
+from entroflow import EmpiricalMeasure
 
 
 def quad_kl_gaussian_1d(m1, v1, m2, v2):
@@ -147,3 +151,46 @@ def td_ou_law_quad(x0, v0, c, a_scale, rate_integral, t):
     grow2, _ = quad(lambda s: np.exp(2.0 * rate_integral(s)), 0.0, t, epsabs=0.0, epsrel=1e-13, limit=200)
     decay = np.exp(-rate_integral(t))
     return decay * (x0 + c * grow), decay**2 * (v0 + 2.0 * a_scale * grow2)
+
+
+def synchronous_pair_loop(field1, field2, x1, x2, times, increments):
+    """(X1 paths, X2 paths, separation) of a synchronously coupled pair.
+
+    X1 by its own Euler step, D = X1 - X2 by the Euler step of the
+    difference equation, X2 recomposed as X1 - D.
+    """
+    n, nodes, d = increments.shape[0], times.size, x1.size
+    p1 = np.empty((n, nodes, d))
+    p2 = np.empty((n, nodes, d))
+    sep = np.empty((n, nodes))
+    x = np.tile(x1, (n, 1))
+    diff = np.tile(x1 - x2, (n, 1))
+    p1[:, 0, :] = x
+    p2[:, 0, :] = x - diff
+    sep[:, 0] = np.linalg.norm(diff, axis=1)
+    for k in range(nodes - 1):
+        t, h = times[k], times[k + 1] - times[k]
+        dw = increments[:, k, :]
+        y = x - diff
+        db = field1.drift(t, x) - field2.drift(t, y)
+        dsig = field1.sigma(t, x) - field2.sigma(t, y)
+        x = x + field1.drift(t, x) * h + np.einsum("nij,nj->ni", field1.sigma(t, x), dw)
+        diff = diff + db * h + np.einsum("nij,nj->ni", dsig, dw)
+        p1[:, k + 1, :] = x
+        p2[:, k + 1, :] = x - diff
+        sep[:, k + 1] = np.linalg.norm(diff, axis=1)
+    return p1, p2, sep
+
+
+def particle_loop(field, x0, times, increments):
+    """Paths of an interacting cloud from the rows of x0, the empirical measure
+    of the cloud fed back to the coefficients each step."""
+    paths = np.empty((x0.shape[0], times.size, x0.shape[1]))
+    paths[:, 0, :] = x0
+    x = x0.copy()
+    for k in range(times.size - 1):
+        t, h = times[k], times[k + 1] - times[k]
+        mu = EmpiricalMeasure(x)
+        x = x + field.drift(t, x, mu) * h + np.einsum("nij,nj->ni", field.sigma(t, x, mu), increments[:, k, :])
+        paths[:, k + 1, :] = x
+    return paths

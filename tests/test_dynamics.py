@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from entroflow import (
+    BlowUpError,
     BridgeSpec,
     CoefficientField,
     DiniModulus,
@@ -15,9 +16,23 @@ from entroflow import (
     synchronous_pair,
     time_grid,
 )
-from entroflow.catalog import constant_drift_field, heat_field, ou_field
+from entroflow._rng import path_normals
+from entroflow.catalog import constant_drift_field, dini_power_drift_field, heat_field, ou_field
+from entroflow.dynamics import _increments
 
-from _refs import coupled_ou_second_moment, ou_law_1d
+from _refs import coupled_ou_second_moment, ou_law_1d, synchronous_pair_loop
+
+
+def quintic_field(d=1):
+    """Drift x^5: Euler paths from |x| ~ 3 overflow within a few steps."""
+    return CoefficientField(
+        dim=d,
+        drift_dini=lambda t, x: np.zeros_like(x),
+        drift_lipschitz=lambda t, x: x**5,
+        diffusion=lambda t, x: np.broadcast_to(np.eye(d), (x.shape[0], d, d)),
+        bound=100.0,
+        modulus=DiniModulus.power(1.0),
+    )
 
 
 class TestDiniModulus:
@@ -114,15 +129,7 @@ class TestEulerMaruyama:
         assert abs(mean_hat - mean) < 3 * se + 2e-3  # 3 sigma plus O(h) bias allowance
 
     def test_blowup_flagged(self):
-        f = CoefficientField(
-            dim=1,
-            drift_dini=lambda t, x: np.zeros_like(x),
-            drift_lipschitz=lambda t, x: x**5,
-            diffusion=lambda t, x: np.broadcast_to(np.eye(1), (x.shape[0], 1, 1)),
-            bound=100.0,
-            modulus=DiniModulus.power(1.0),
-        )
-        ens = euler_maruyama(f, [3.0], time_grid(5.0, 8), seed=3, n_paths=4)
+        ens = euler_maruyama(quintic_field(), [3.0], time_grid(5.0, 8), seed=3, n_paths=4)
         assert len(ens.aborted) > 0
         with pytest.raises(Exception):
             ens.terminal_measure()
@@ -200,6 +207,35 @@ class TestSynchronousPair:
         assert abs(got.mean()[0] - mean) < 3 * math.sqrt(var / n) + 2e-3
         assert abs(got.cov()[0, 0] - var) < 3 * math.sqrt(2 * var**2 / n) + 5e-3
 
+    def test_bit_identical_to_reference_recursion(self):
+        f1, f2 = dini_power_drift_field(2), ou_field(2, 1.0, 0.5)
+        x1, x2 = np.array([0.3, -0.2]), np.array([1.1, 0.4])
+        grid = time_grid(1.0, 64)
+        pair = synchronous_pair(f1, f2, x1, x2, grid, seed=21, n_pairs=16)
+        incs = _increments(grid, path_normals(21, 16, 64, 2))
+        p1, p2, sep = synchronous_pair_loop(f1, f2, x1, x2, grid, incs)
+        assert np.array_equal(pair.first.paths, p1)
+        assert np.array_equal(pair.second.paths, p2)
+        assert np.array_equal(pair.separation, sep)
+
+    def test_blowup_aborts_pair_in_both_ensembles(self):
+        pair = synchronous_pair(
+            quintic_field(), heat_field(1), [3.0], [0.0], time_grid(5.0, 8), seed=3, n_pairs=4
+        )
+        assert pair.first.aborted and pair.first.aborted == pair.second.aborted
+        assert np.all(np.isnan(pair.separation[list(pair.first.aborted), -1]))
+        for ens in (pair.first, pair.second):
+            with pytest.raises(BlowUpError):
+                ens.terminal_measure()
+
+    def test_start_dimension_checked(self):
+        grid = time_grid(1.0, 8)
+        # unchecked, a start with too few coordinates broadcasts and one with
+        # too many fails inside numpy
+        for x1, x2 in (([0.1, 0.2], [0.3]), ([0.1, 0.2, 0.3], [0.1, 0.2, 0.3])):
+            with pytest.raises(DynamicsError, match="start point"):
+                synchronous_pair(heat_field(2), heat_field(2), x1, x2, grid, seed=0, n_pairs=2)
+
 
 class TestBridgePath:
     def test_degenerate_switch_is_field1(self):
@@ -234,6 +270,13 @@ class TestBridgePath:
         bridge7 = bridge_path(spec7, [0.0], time_grid(1.0, 10), seed=0, n_paths=1)
         assert float(spec7.t0) in bridge7.times.tolist()
         assert bridge7.times.size == 12  # genuinely inserted
+
+    def test_start_dimension_checked(self):
+        # unchecked, a 2-D start for 1-D fields gives 2-D paths with the 1-D
+        # noise broadcast into both coordinates
+        spec = BridgeSpec(ou_field(1), heat_field(1), t1=0.5)
+        with pytest.raises(DynamicsError, match="start point"):
+            bridge_path(spec, [0.3, 0.9], time_grid(0.5, 8), seed=0, n_paths=3)
 
     def test_bridge_same_field_matches_plain(self):
         f = ou_field(1, 1.0, 0.5)

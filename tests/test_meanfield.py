@@ -7,6 +7,7 @@ from entroflow import (
     DynamicsError,
     EmpiricalMeasure,
     GaussianMeasure,
+    MeasureError,
     MVCoefficientField,
     euler_maruyama,
     evolve_particles,
@@ -18,6 +19,20 @@ from entroflow import (
 from entroflow.catalog import mean_field_ou, ou_field
 from entroflow.dynamics import _increments, _step
 from entroflow._rng import path_normals
+from entroflow.meanfield import _initial_cloud
+
+from _refs import particle_loop
+
+
+def septic_field():
+    """Drift x^7: Euler particles from x ~ 4 overflow within a few steps."""
+    return MVCoefficientField(
+        dim=1,
+        drift=lambda t, x, mu: x**7,
+        diffusion=lambda t, x, mu: np.broadcast_to(np.eye(1), (x.shape[0], 1, 1)),
+        sigma_fn=lambda t, x, mu: np.broadcast_to(np.sqrt(2) * np.eye(1), (x.shape[0], 1, 1)),
+        bound=100.0,
+    )
 
 
 class TestFieldWrapper:
@@ -96,17 +111,24 @@ class TestEvolveParticles:
         assert np.allclose(np.sort(a[:, 0]), np.sort(b[:, 0]), atol=1e-10)
 
     def test_blowup_aborts_ensemble(self):
-        field = MVCoefficientField(
-            dim=1,
-            drift=lambda t, x, mu: x**7,
-            diffusion=lambda t, x, mu: np.broadcast_to(np.eye(1), (x.shape[0], 1, 1)),
-            sigma_fn=lambda t, x, mu: np.broadcast_to(np.sqrt(2) * np.eye(1), (x.shape[0], 1, 1)),
-            bound=100.0,
-        )
-        ens = evolve_particles(field, EmpiricalMeasure([[4.0]]), 8, time_grid(4.0, 6), seed=8)
+        ens = evolve_particles(septic_field(), EmpiricalMeasure([[4.0]]), 8, time_grid(4.0, 6), seed=8)
         assert ens.aborted
         with pytest.raises(Exception):
             ens.terminal_measure()
+
+    def test_bit_identical_to_reference_loop(self):
+        field = mean_field_ou(2, rate=0.7, a_scale=0.5)
+        init = GaussianMeasure([0.5, -0.2], [[0.5, 0.1], [0.1, 0.3]])
+        grid = time_grid(0.5, 40)
+        ens = evolve_particles(field, init, 64, grid, seed=22, stream=3)
+        x0 = _initial_cloud(init, 64, 22, 3)
+        incs = _increments(grid, path_normals(22, 64, 40, 2, 3))
+        assert np.array_equal(ens.paths, particle_loop(field, x0, grid, incs))
+
+    def test_initial_dimension_checked(self):
+        # unchecked, a 1-D cloud for a 2-D field broadcasts into both coordinates
+        with pytest.raises(DynamicsError, match="dimension"):
+            evolve_particles(mean_field_ou(2), EmpiricalMeasure([[0.0]]), 4, time_grid(0.2, 4), seed=0)
 
 
 class TestFlowMap:
@@ -140,6 +162,18 @@ class TestFlowMap:
 
 
 class TestStability:
+    def test_blowup_raises(self):
+        nu1, nu2 = EmpiricalMeasure([[4.0]]), EmpiricalMeasure([[4.5]])
+        with pytest.raises(DynamicsError, match="blow-up"):
+            w2_stability_experiment(septic_field(), nu1, nu2, [0.5, 4.0], 8, 6, seed=19)
+
+    def test_mixed_gaussian_empirical_pair_rejected(self):
+        field = mean_field_ou(1)
+        with pytest.raises(MeasureError):
+            w2_stability_experiment(
+                field, GaussianMeasure([0.0], [[1.0]]), EmpiricalMeasure([[1.0]]), [0.1], 16, 8, seed=20
+            )
+
     def test_identical_initials_degenerate(self):
         field = mean_field_ou(1)
         nu = GaussianMeasure([0.0], [[1.0]])

@@ -96,7 +96,9 @@ def _linear_spec_from(p, tag, d):
 
 
 _SPEC_PARAMS = lambda tag: {
-    f"{tag}_kind": _param("str", "heat", "catalog name: heat | ou | drift-gap", choices=("heat", "ou", "drift-gap")),
+    f"{tag}_kind": _param(
+        "str", "heat", f"catalog name: {' | '.join(catalog.LINEAR_NAMES)}", choices=catalog.LINEAR_NAMES
+    ),
     f"{tag}_a": _param("float", 1.0, "diffusion scale"),
     f"{tag}_rate": _param("float", 1.0, "ou reversion rate"),
     f"{tag}_c": _param("float", 1.0, "constant drift (drift-gap)"),
@@ -154,8 +156,7 @@ def _run_mismatch(p, seed):
 
 _MM_PARAMS = {
     "d": _param("int", 1, "dimension"),
-    "pair": _param("str", "drift-gap", "drift-gap | diffusion-gap | equal",
-                   choices=("drift-gap", "diffusion-gap", "equal")),
+    "pair": _param("str", "drift-gap", " | ".join(_MISMATCH_SECOND), choices=tuple(_MISMATCH_SECOND)),
     "c": _param("float", 1.0, "drift gap"),
     "a1": _param("float", 1.0, "first diffusion scale"),
     "a2": _param("float", 2.0, "second diffusion scale (diffusion-gap)"),
@@ -227,8 +228,9 @@ def _run_meanfield_ec(p, seed):
 
 _MF_PARAMS = {
     "d": _param("int", 1, "dimension"),
-    "field_kind": _param("str", "mean-field-ou", "catalog name",
-                         choices=("mean-field-ou", "heat", "ou", "drift-gap")),
+    "field_kind": _param(
+        "str", "mean-field-ou", "catalog name", choices=catalog.INTERACTING_NAMES + catalog.LINEAR_NAMES
+    ),
     "field_rate": _param("float", 1.0, "interaction/reversion rate"),
     "field_a": _param("float", 0.5, "diffusion scale"),
     "nu1_mean": _param("vec", "0.0", "first initial mean"),
@@ -262,6 +264,8 @@ def _typed(schema, key, raw):
         val = _CASTS[spec["type"]](raw)
     except (TypeError, ValueError) as exc:
         raise CliError(f"parameter {key!r}: cannot parse {raw!r} as {spec['type']}") from exc
+    if spec["type"] == "int" and val < 1:
+        raise CliError(f"parameter {key!r}: {val!r} is not a positive integer")
     if spec["choices"] and val not in spec["choices"]:
         raise CliError(f"parameter {key!r}: {val!r} not in {spec['choices']}")
     return val

@@ -431,7 +431,15 @@ def synchronous_pair(field1, field2, x1, x2, times, seed, n_pairs=1):
     x, diff = paths[:, :, :d].copy(), paths[:, :, d:].copy()
     ens1 = PathEnsemble(times=times, paths=x, noise_mode="shared", seed=seed, aborted=aborted)
     ens2 = PathEnsemble(times=times, paths=x - diff, noise_mode="shared", seed=seed, aborted=aborted)
-    return CoupledPair(first=ens1, second=ens2, separation=np.linalg.norm(diff, axis=2))
+    with np.errstate(over="ignore"):
+        separation = np.linalg.norm(diff, axis=2)
+        # the norm squares D: a finite D whose square overflowed is measured again scaled to unit size
+        over = np.isinf(separation)
+        if over.any():
+            over &= np.isfinite(diff).all(axis=2)
+            scale = np.max(np.abs(diff[over]), axis=1)
+            separation[over] = scale * np.linalg.norm(diff[over] / scale[:, None], axis=1)
+    return CoupledPair(first=ens1, second=ens2, separation=separation)
 
 
 def bridge_path(spec, x1, times, seed, n_paths=1):

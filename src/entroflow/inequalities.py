@@ -140,28 +140,15 @@ def entropy_cost_experiment(spec1, spec2, x1, x2, t_grid, bound_factor=10.0):
     sharp = _is_standard_heat(spec1) and _is_standard_heat(spec2)
     if sharp:
         params["sharp_dev"] = float(np.max(np.abs(t_ent - dx2 / 4.0)))
-    left = float(np.max(t_ent))
-    right = bound_factor * float(t_ent[-1])
-    tol = 1e-12
     if np.max(np.abs(ents)) < 1e-15 and dx2 == 0.0:
-        return ExperimentReport(
-            name="entropy_cost",
-            params=params,
-            left=0.0,
-            right=0.0,
-            tolerance=0.0,
-            verdict="degenerate",
-            notes="identical flows from identical starts: 0/0 ratio",
-        )
+        left = right = tol = 0.0
+        verdict, notes = "degenerate", "identical flows from identical starts: 0/0 ratio"
+    else:
+        left, right, tol = float(np.max(t_ent)), bound_factor * float(t_ent[-1]), 1e-12
+        verdict = classify(left, right, tol)
+        notes = "boundedness of t*Ent over the grid" + ("; sharp heat coefficient recorded" if sharp else "")
     return ExperimentReport(
-        name="entropy_cost",
-        params=params,
-        left=left,
-        right=right,
-        tolerance=tol,
-        verdict=classify(left, right, tol),
-        notes="boundedness of t*Ent over the grid"
-        + ("; sharp heat coefficient recorded" if sharp else ""),
+        name="entropy_cost", params=params, left=left, right=right, tolerance=tol, verdict=verdict, notes=notes
     )
 
 
@@ -219,24 +206,17 @@ def mismatch_singularity_experiment(cases, t, n_mc=500, seed=0, n_nodes=200):
     else:
         left, right = binding[1], binding[2]
     if diverged_labels:
-        return ExperimentReport(
-            name="mismatch_singularity",
-            params=params,
-            left=left,
-            right=right,
-            tolerance=tol,
-            verdict="divergent",
-            notes=f"divergence flag raised for: {', '.join(diverged_labels)}",
-            seed=seed,
-        )
+        verdict, notes = "divergent", f"divergence flag raised for: {', '.join(diverged_labels)}"
+    else:
+        verdict, notes = classify(left, right, tol), "finite bound dominates the true entropy for every pair"
     return ExperimentReport(
         name="mismatch_singularity",
         params=params,
         left=left,
         right=right,
         tolerance=tol,
-        verdict=classify(left, right, tol),
-        notes="finite bound dominates the true entropy for every pair",
+        verdict=verdict,
+        notes=notes,
         seed=seed,
     )
 
@@ -306,24 +286,19 @@ def bridge_decomposition_experiment(spec1, spec2, x1, x2, t1, epsilon=0.5, p=2.0
     }
     tol = 1e-9
     if math.isinf(log_power):
-        return ExperimentReport(
-            name="bridge_decomposition",
-            params=params,
-            left=left,
-            right=math.inf,
-            tolerance=tol,
-            verdict="degenerate",
-            notes="power integral not Gaussian-integrable: right side infinite",
-        )
-    right = first + (p - 1.0) * log_power
+        right, verdict = math.inf, "degenerate"
+        notes = "power integral not Gaussian-integrable: right side infinite"
+    else:
+        right = first + (p - 1.0) * log_power
+        verdict, notes = classify(left, right, tol), "closed-form Gaussian decomposition"
     return ExperimentReport(
         name="bridge_decomposition",
         params=params,
         left=left,
         right=right,
         tolerance=tol,
-        verdict=classify(left, right, tol),
-        notes="closed-form Gaussian decomposition",
+        verdict=verdict,
+        notes=notes,
     )
 
 
@@ -518,36 +493,22 @@ def meanfield_entropy_cost_experiment(
         "grid_rows": rows,
     }
     if w0 < 1e-12:
-        return ExperimentReport(
-            name="meanfield_entropy_cost",
-            params=params,
-            left=float(np.max(np.abs(ents))),
-            right=0.0,
-            tolerance=float(3.0 * np.max(ses) + 0.05),
-            verdict="degenerate",
-            notes="identical initial measures: ratio undefined; entropies should sit at 0",
-            seed=seed,
-        )
-    scale = max(float(np.max(np.abs(ents))), 1e-12)
-    if float(np.max(ses)) > max_rel_stderr * scale:
-        return ExperimentReport(
-            name="meanfield_entropy_cost",
-            params=params,
-            left=float(np.max(t_grid * ents)) / w0**2,
-            right=0.0,
-            tolerance=0.0,
-            verdict="degenerate",
-            notes="estimator variance too large: inconclusive",
-            seed=seed,
-        )
-    constant = float(np.max(t_grid * ents)) / w0**2
+        left, right, tol = float(np.max(np.abs(ents))), 0.0, float(3.0 * np.max(ses) + 0.05)
+        verdict, notes = "degenerate", "identical initial measures: ratio undefined; entropies should sit at 0"
+    else:
+        left, tol = float(np.max(t_grid * ents)) / w0**2, 0.0
+        if float(np.max(ses)) > max_rel_stderr * max(float(np.max(np.abs(ents))), 1e-12):
+            right, verdict, notes = 0.0, "degenerate", "estimator variance too large: inconclusive"
+        else:
+            right, verdict = left, "holds"
+            notes = f"rate-only: measured entropy-cost constant {left:.6g} with 3-sigma bars in params"
     return ExperimentReport(
         name="meanfield_entropy_cost",
         params=params,
-        left=constant,
-        right=constant,
-        tolerance=0.0,
-        verdict="holds",
-        notes=f"rate-only: measured entropy-cost constant {constant:.6g} with 3-sigma bars in params",
+        left=left,
+        right=right,
+        tolerance=tol,
+        verdict=verdict,
+        notes=notes,
         seed=seed,
     )

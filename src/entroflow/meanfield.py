@@ -212,51 +212,44 @@ def w2_stability_experiment(field, nu1, nu2, t_grid, n_particles, n_steps, seed,
     t_grid = np.asarray(t_grid, dtype=float)
     t_end = float(t_grid.max())
     w0 = w2_exact(nu1, nu2)
+    params = {"w2_initial": w0, "t_grid": t_grid.tolist()}
     if w0 < 1e-12:
-        return ExperimentReport(
-            name="w2_stability",
-            params={"w2_initial": w0, "t_grid": t_grid.tolist()},
-            left=0.0,
-            right=0.0,
-            tolerance=0.0,
-            verdict="degenerate",
-            notes="initial measures coincide: Lipschitz ratio undefined",
-            seed=seed,
-        )
-    x1, x2 = _coupled_initial_clouds(nu1, nu2, n_particles, seed)
-    times = np.linspace(0.0, t_end, int(n_steps) + 1)
-    times = np.unique(np.concatenate([times, t_grid]))
-    p1, aborted1 = _particle_paths(field, x1, times, seed, stream=0)
-    p2, aborted2 = _particle_paths(field, x2, times, seed, stream=0)
-    if aborted1 or aborted2:
-        raise DynamicsError("particle blow-up during stability experiment")
-    ratios, ses, rows = [], [], []
-    for t in t_grid:
-        idx = int(np.argmin(np.abs(times - t)))
-        w, se = _w2_cloud_ratio(p1, p2, idx)
-        ratios.append(w / w0)
-        ses.append(se / w0)
-        rows.append((float(t), w, w0))
-    worst = int(np.argmax(ratios))
-    left = float(ratios[worst])
-    tol = 3.0 * float(ses[worst])
-    if bound is None:
-        right, verdict, notes = left, "holds", f"rate-only: measured Lipschitz constant {left:.6g}"
-        tol = 0.0
+        left = right = tol = 0.0
+        verdict, notes = "degenerate", "initial measures coincide: Lipschitz ratio undefined"
     else:
-        right = float(bound)
-        verdict = classify(left, right, tol)
-        notes = "ratio vs supplied bound at 3 batch standard errors"
+        x1, x2 = _coupled_initial_clouds(nu1, nu2, n_particles, seed)
+        times = np.linspace(0.0, t_end, int(n_steps) + 1)
+        times = np.unique(np.concatenate([times, t_grid]))
+        p1, aborted1 = _particle_paths(field, x1, times, seed, stream=0)
+        p2, aborted2 = _particle_paths(field, x2, times, seed, stream=0)
+        if aborted1 or aborted2:
+            raise DynamicsError("particle blow-up during stability experiment")
+        ratios, ses, rows = [], [], []
+        for t in t_grid:
+            idx = int(np.argmin(np.abs(times - t)))
+            w, se = _w2_cloud_ratio(p1, p2, idx)
+            ratios.append(w / w0)
+            ses.append(se / w0)
+            rows.append((float(t), w, w0))
+        params.update(
+            ratios=[float(r) for r in ratios],
+            stderrs=[float(s) for s in ses],
+            n_particles=int(n_particles),
+            grid_rows=rows,
+        )
+        worst = int(np.argmax(ratios))
+        left = float(ratios[worst])
+        tol = 3.0 * float(ses[worst])
+        if bound is None:
+            right, verdict, notes = left, "holds", f"rate-only: measured Lipschitz constant {left:.6g}"
+            tol = 0.0
+        else:
+            right = float(bound)
+            verdict = classify(left, right, tol)
+            notes = "ratio vs supplied bound at 3 batch standard errors"
     return ExperimentReport(
         name="w2_stability",
-        params={
-            "w2_initial": w0,
-            "t_grid": t_grid.tolist(),
-            "ratios": [float(r) for r in ratios],
-            "stderrs": [float(s) for s in ses],
-            "n_particles": int(n_particles),
-            "grid_rows": rows,
-        },
+        params=params,
         left=left,
         right=right,
         tolerance=tol,

@@ -126,10 +126,6 @@ class LinearSDESpec:
     def is_point_start(self):
         return bool(np.all(self.initial_cov == 0.0))
 
-    def diffusion_at(self, t):
-        s = self.parts()[2](t)
-        return 0.5 * (s @ s.T)
-
 
 def _propagate_const(a, c, q, m0, c0, tau):
     """Exact (m, C) transport over time tau for constant coefficients.

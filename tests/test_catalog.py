@@ -1,3 +1,6 @@
+import ast
+
+import numpy as np
 import pytest
 
 from entroflow import euler_maruyama, time_grid
@@ -30,6 +33,19 @@ class TestCatalog:
             make_field("nope")
         with pytest.raises(KeyError):
             make_linear_spec("mean-field-ou")
+        # the message offers only names the same lookup accepts
+        for lookup, name in (
+            (make_field, "diffusion-gap"),
+            (make_field, "mean-field-ou"),
+            (make_linear_spec, "dini-power-drift"),
+            (make_mv_field, "diffusion-gap"),
+        ):
+            with pytest.raises(KeyError) as exc:
+                lookup(name)
+            offered = ast.literal_eval(exc.value.args[0].split("choose from ")[1])
+            assert offered and name not in offered
+            for other in offered:
+                lookup(other)
 
     def test_names_catalog_complete(self):
         assert set(FIELD_NAMES) == {
@@ -49,3 +65,20 @@ class TestCatalog:
         assert not ens.aborted
         # drift is bounded, so the cloud stays near the heat scale
         assert abs(ens.terminal_measure().mean()[0]) < 1.0
+
+    def test_field_and_spec_views_agree(self):
+        rng = np.random.default_rng(12)
+        params = {"rate": 0.7, "a": 1.6, "c": -0.4}
+        for name in ("heat", "ou", "drift-gap"):
+            for d in (1, 3):
+                field = make_field(name, d, **params)
+                spec = make_linear_spec(name, d, **params)
+                assert field.dim == spec.dim == d
+                a_fn, c_fn, s_fn, _ = spec.parts()
+                x = rng.normal(scale=2.0, size=(6, d))
+                np.testing.assert_allclose(field.drift(0.3, x), x @ a_fn(0.3).T + c_fn(0.3), rtol=1e-14, atol=1e-14)
+                two_a = np.broadcast_to(2.0 * params["a"] * np.eye(d), (6, d, d))
+                sig = field.sigma(0.3, x)
+                np.testing.assert_allclose(sig @ sig.transpose(0, 2, 1), two_a, rtol=1e-14, atol=1e-14)
+                np.testing.assert_allclose(s_fn(0.3) @ s_fn(0.3).T, two_a[0], rtol=1e-14, atol=1e-14)
+                np.testing.assert_array_equal(field.diffusion(0.3, x), two_a / 2.0)

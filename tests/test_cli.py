@@ -4,7 +4,8 @@ import re
 import pytest
 
 from entroflow import validate_report_dict
-from entroflow.cli import EXPERIMENTS, main
+from entroflow.catalog import make_field, make_linear_spec, make_mv_field
+from entroflow.cli import _MISMATCH_SECOND, EXPERIMENTS, main
 
 
 def write_config(path, experiment, out, seed=7, params=None, formats="json,csv"):
@@ -55,6 +56,27 @@ class TestRun:
     def test_bad_param_exit_one(self, tmp_path, capsys):
         cfg = write_config(tmp_path / "t.ini", "talagrand", tmp_path / "out", params={"d": "x"})
         assert main(["run", str(cfg)]) == 1
+        # out-of-range values stop with an error naming the parameter, not a traceback or a warning
+        cases = [
+            ("entropy_cost", "d=0", "'d'"),
+            ("mismatch_singularity", "d=0", "'d'"),
+            ("bridge_decomposition", "d=0", "'d'"),
+            ("entropy_cost", "n_t=0", "'n_t'"),
+            ("talagrand", "d=-2", "'d'"),
+            ("mismatch_singularity", "n_mc=0", "'n_mc'"),
+            ("meanfield_entropy_cost", "k=0", "'k'"),
+            ("mismatch_singularity", "a1=0", "a_scale"),
+            ("mismatch_singularity", "a1=inf", "a_scale"),
+            ("meanfield_entropy_cost", "field_a=0", "a_scale"),
+            ("entropy_cost", "spec1_a=-1", "a_scale"),
+            ("bridge_decomposition", "spec2_a=nan", "a_scale"),
+        ]
+        for experiment, setting, named in cases:
+            capsys.readouterr()
+            args = ["run", "--experiment", experiment, "--out", str(tmp_path / "o"), "--set", setting]
+            assert main(args) == 1, setting
+            err = capsys.readouterr().err
+            assert err.startswith("error: ") and named in err, (setting, err)
 
     def test_divergent_finding_exit_zero(self, tmp_path):
         cfg = write_config(
@@ -127,6 +149,19 @@ class TestRun:
         monkeypatch.setitem(EXPERIMENTS, "talagrand", (summary, schema, broken))
         cfg = write_config(tmp_path / "t.ini", "talagrand", tmp_path / "out")
         assert main(["run", str(cfg)]) == 2
+
+
+    def test_offered_catalog_names_build(self):
+        # each catalog name offered as a choice builds through the lookup the run passes it to
+        for name, (_, schema, _) in EXPERIMENTS.items():
+            for key in ("spec1_kind", "spec2_kind"):
+                for kind in schema.get(key, {"choices": ()})["choices"]:
+                    assert make_linear_spec(kind, d=2).dim == 2
+        for kind in EXPERIMENTS["meanfield_entropy_cost"][1]["field_kind"]["choices"]:
+            assert make_mv_field(kind, d=2).dim == 2
+        for pair in EXPERIMENTS["mismatch_singularity"][1]["pair"]["choices"]:
+            kind = _MISMATCH_SECOND[pair][0]
+            assert make_field(kind, d=2).dim == make_linear_spec(kind, d=2).dim == 2
 
 
 class TestList:

@@ -224,6 +224,12 @@ class TestSynchronousPair:
         )
         assert pair.first.aborted and pair.first.aborted == pair.second.aborted
         assert np.all(np.isnan(pair.separation[list(pair.first.aborted), -1]))
+        # one node before the abort the states are finite near 1e267, where squaring overflows
+        finite = np.isfinite(pair.first.paths).all(axis=2) & np.isfinite(pair.second.paths).all(axis=2)
+        assert np.all(finite[:, 4])
+        np.testing.assert_allclose(
+            pair.separation[finite], np.abs(pair.first.paths - pair.second.paths)[finite][:, 0], rtol=1e-12
+        )
         for ens in (pair.first, pair.second):
             with pytest.raises(BlowUpError):
                 ens.terminal_measure()

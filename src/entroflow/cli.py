@@ -66,11 +66,16 @@ def _param(kind, default, help_text, choices=None):
     return {"type": kind, "default": default, "help": help_text, "choices": choices}
 
 
+def _padded(vec, d):
+    """The first d entries of vec, padded with zeros to length d."""
+    out = np.zeros(d)
+    out[: min(d, vec.size)] = vec[:d]
+    return out
+
+
 def _run_talagrand(p, seed):
     d = p["d"]
-    mean = np.zeros(d)
-    mean[: min(d, p["mean"].size)] = p["mean"][:d]
-    nu = GaussianMeasure(mean, p["cov_scale"] * np.eye(d))
+    nu = GaussianMeasure(_padded(p["mean"], d), p["cov_scale"] * np.eye(d))
     rep = talagrand_experiment(nu, seed=seed)
     rows = [(0, rep.left, rep.right)]
     return rep, ("index", "w2_sq", "two_entropy"), rows
@@ -110,7 +115,8 @@ def _run_entropy_cost(p, seed):
     spec1 = _linear_spec_from(p, "spec1", d)
     spec2 = _linear_spec_from(p, "spec2", d)
     t_grid = np.geomspace(p["t_min"], p["t_max"], p["n_t"])
-    rep = entropy_cost_experiment(spec1, spec2, p["x1"][:d], p["x2"][:d], t_grid, p["bound_factor"])
+    x1, x2 = _padded(p["x1"], d), _padded(p["x2"], d)
+    rep = entropy_cost_experiment(spec1, spec2, x1, x2, t_grid, p["bound_factor"])
     rows = rep.params["grid_rows"]
     return rep, ("t", "entropy", "t_entropy"), rows
 
@@ -119,8 +125,8 @@ _EC_PARAMS = {
     "d": _param("int", 1, "dimension"),
     **_SPEC_PARAMS("spec1"),
     **_SPEC_PARAMS("spec2"),
-    "x1": _param("vec", "0.0", "start of flow 1"),
-    "x2": _param("vec", "1.0", "start of flow 2"),
+    "x1": _param("vec", "0.0", "start of flow 1 (padded with zeros to d)"),
+    "x2": _param("vec", "1.0", "start of flow 2 (padded with zeros to d)"),
     "t_min": _param("float", 0.01, "smallest grid time"),
     "t_max": _param("float", 1.0, "largest grid time"),
     "n_t": _param("int", 12, "log-spaced grid size"),
@@ -169,10 +175,9 @@ def _run_bridge(p, seed):
     d = p["d"]
     spec1 = _linear_spec_from(p, "spec1", d)
     spec2 = _linear_spec_from(p, "spec2", d)
-    rep = bridge_decomposition_experiment(
-        spec1, spec2, p["x1"][:d], p["x2"][:d], p["t1"], p["epsilon"], p["p"]
-    )
-    sweep = bridge_epsilon_sweep(spec1, spec2, p["x1"][:d], p["t1"], p["p"])
+    x1, x2 = _padded(p["x1"], d), _padded(p["x2"], d)
+    rep = bridge_decomposition_experiment(spec1, spec2, x1, x2, p["t1"], p["epsilon"], p["p"])
+    sweep = bridge_epsilon_sweep(spec1, spec2, x1, p["t1"], p["p"])
     rows = [(eps, first, rep.right) for eps, first in sweep]
     return rep, ("epsilon", "first_term", "right_side"), rows
 
@@ -181,8 +186,8 @@ _BR_PARAMS = {
     "d": _param("int", 1, "dimension"),
     **_SPEC_PARAMS("spec1"),
     **_SPEC_PARAMS("spec2"),
-    "x1": _param("vec", "0.0", "start of flow 1"),
-    "x2": _param("vec", "0.0", "start of flow 2"),
+    "x1": _param("vec", "0.0", "start of flow 1 (padded with zeros to d)"),
+    "x2": _param("vec", "0.0", "start of flow 2 (padded with zeros to d)"),
     "t1": _param("float", 1.0, "terminal time"),
     "epsilon": _param("float", 0.5, "switch fraction in (0, 1/2]"),
     "p": _param("float", 2.0, "interpolation power (> 1)"),
@@ -204,9 +209,7 @@ _LH_PARAMS = {
 
 
 def _measure_from(p, tag, d):
-    mean = np.zeros(d)
-    given = p[f"{tag}_mean"]
-    mean[: min(d, given.size)] = given[:d]
+    mean = _padded(p[f"{tag}_mean"], d)
     scale = p[f"{tag}_cov_scale"]
     if scale <= 0:
         return EmpiricalMeasure(mean[None, :])
@@ -233,9 +236,9 @@ _MF_PARAMS = {
     ),
     "field_rate": _param("float", 1.0, "interaction/reversion rate"),
     "field_a": _param("float", 0.5, "diffusion scale"),
-    "nu1_mean": _param("vec", "0.0", "first initial mean"),
+    "nu1_mean": _param("vec", "0.0", "first initial mean (padded with zeros to d)"),
     "nu1_cov_scale": _param("float", 0.0, "first initial covariance scale (0 = point)"),
-    "nu2_mean": _param("vec", "1.0", "second initial mean"),
+    "nu2_mean": _param("vec", "1.0", "second initial mean (padded with zeros to d)"),
     "nu2_cov_scale": _param("float", 0.0, "second initial covariance scale (0 = point)"),
     "t_min": _param("float", 0.1, "smallest grid time"),
     "t_max": _param("float", 0.5, "largest grid time"),

@@ -8,13 +8,22 @@ Three regimes are covered exactly or to solver tolerance:
 * discrete optimal transport: assignment fast path for equal-size uniform
   clouds, a network LP for weighted clouds, and log-domain Sinkhorn for the
   entropic regularization.
+
+Sinkhorn works on the kernel -cost/epsilon, computed once per solve, and pays
+one log-sum-exp pass per half-iteration.  After the row update the rows of
+the plan are exact, and the column error is read off the next column update,
+so the n x m plan is built only once that estimated error is below tol; the
+built plan's own marginal error is then measured and the plan returned only
+if it is below tol too.  The two self-transport problems of the debiased cost
+use the symmetric averaged fixed point f <- (f + T f) / 2 (Feydy et al.,
+AISTATS 2019) with the same stop rule, where plain alternating updates can
+stall.  A non-finite marginal error stops the solve at once.
 """
 
 import json
 
 import numpy as np
 from scipy.optimize import linear_sum_assignment, linprog
-from scipy.special import logsumexp
 import scipy.sparse as sp
 
 from .measures import EmpiricalMeasure, GaussianMeasure, MeasureError
@@ -40,16 +49,24 @@ class CouplingPlan:
     matrix[i, j] is the mass moved from mu point i to nu point j; row sums
     equal mu.weights, column sums equal nu.weights (within 1e-9), and cost
     is sum_ij matrix[i,j] |x_i - y_j|^2.
+
+    Entropic plans also carry the iteration count of their Sinkhorn solve
+    and the measured marginal error of the returned matrix; exact plans
+    leave both None.  Neither is part of the JSON form.
     """
 
-    __slots__ = ("mu", "nu", "matrix", "cost", "debiased_cost")
+    __slots__ = ("mu", "nu", "matrix", "cost", "debiased_cost", "iterations", "marginal_error")
 
-    def __init__(self, mu, nu, matrix, cost, debiased_cost=None):
+    def __init__(
+        self, mu, nu, matrix, cost, debiased_cost=None, iterations=None, marginal_error=None
+    ):
         self.mu = mu
         self.nu = nu
         self.matrix = np.asarray(matrix, dtype=float)
         self.cost = float(cost)
         self.debiased_cost = debiased_cost
+        self.iterations = iterations
+        self.marginal_error = marginal_error
 
     def marginal_violation(self):
         row = np.max(np.abs(self.matrix.sum(axis=1) - self.mu.weights))
@@ -180,39 +197,120 @@ def _exact_plan(mu, nu):
     return CouplingPlan(mu, nu, plan, float(np.sum(plan * cost)))
 
 
-def _sinkhorn_potentials(log_a, log_b, cost, epsilon, max_iter, tol, a, b):
-    f = np.zeros(log_a.size)
-    g = np.zeros(log_b.size)
-    for _ in range(max_iter):
-        g = -epsilon * logsumexp((f[:, None] - cost) / epsilon + log_a[:, None], axis=0)
-        f = -epsilon * logsumexp((g[None, :] - cost) / epsilon + log_b[None, :], axis=1)
-        log_plan = (
-            (f[:, None] + g[None, :] - cost) / epsilon + log_a[:, None] + log_b[None, :]
+def logsumexp(x, axis):
+    """log sum exp(x) along axis, shifted by the maximum (x finite)."""
+    top = np.max(x, axis=axis, keepdims=True)
+    return np.log(np.sum(np.exp(x - top), axis=axis)) + np.squeeze(top, axis=axis)
+
+
+def _half_step(kernel, h, axis):
+    """One Sinkhorn half-iteration: -log sum_i exp(kernel_ij + h_i) along axis.
+
+    h lies along `axis`; the result lies along the other one.  Everything is
+    in units of epsilon: kernel = -cost / epsilon, and h is a potential over
+    epsilon plus the log weights of its side.
+    """
+    shifted = kernel + (h[:, None] if axis == 0 else h[None, :])
+    return -logsumexp(shifted, axis)
+
+
+def _check_error(err, iterations):
+    if not np.isfinite(err):
+        raise SinkhornDivergedError(
+            f"marginal error not finite after {iterations} iterations; "
+            "reduce epsilon or use method='exact'"
         )
-        plan = np.exp(log_plan)
-        err = max(
-            np.max(np.abs(plan.sum(axis=1) - a)), np.max(np.abs(plan.sum(axis=0) - b))
-        )
-        if err < tol:
-            return plan
-    raise SinkhornDivergedError(
+
+
+def _measured_plan(kernel, h_rows, h_cols, a, b, iterations):
+    """The plan exp(kernel + h_rows + h_cols) and its largest marginal error."""
+    plan = np.exp(kernel + h_rows[:, None] + h_cols[None, :])
+    err = max(
+        np.max(np.abs(plan.sum(axis=1) - a)), np.max(np.abs(plan.sum(axis=0) - b))
+    )
+    _check_error(err, iterations)
+    return plan, float(err)
+
+
+def _no_convergence(max_iter, err):
+    return SinkhornDivergedError(
         f"no convergence after {max_iter} iterations (marginal error {err:.2e}); "
         "reduce epsilon or use method='exact'"
     )
 
 
-def _entropic_plan(mu, nu, epsilon, max_iter, tol, debias):
+def _log_weights(w):
+    return np.log(np.maximum(w, 1e-300))
+
+
+def _sinkhorn(kernel, a, b, max_iter, tol):
+    """Alternating Sinkhorn on kernel = -cost / epsilon: (plan, iterations, error).
+
+    Iteration k updates the row potential u (so the rows of the plan (u, v)
+    are exact) and then the next column potential v'.  The columns of the
+    plan (u, v) sum to b * exp(v - v'), so their error is read off v' without
+    forming the plan; the plan is built, and its own error measured, only
+    once that estimate is below tol.
+    """
+    log_a, log_b = _log_weights(a), _log_weights(b)
+    v = _half_step(kernel, log_a, axis=0)  # u = 0
+    for k in range(1, max_iter + 1):
+        u = _half_step(kernel, v + log_b, axis=1)
+        v_next = _half_step(kernel, u + log_a, axis=0)
+        err = np.max(b * np.abs(np.expm1(v - v_next)))
+        _check_error(err, k)
+        if err < tol:
+            plan, err = _measured_plan(kernel, u + log_a, v + log_b, a, b, k)
+            if err < tol:
+                return plan, k, err
+        v = v_next
+    raise _no_convergence(max_iter, err)
+
+
+def _symmetric_sinkhorn(kernel, a, max_iter, tol):
+    """Self-transport Sinkhorn on a symmetric kernel: (plan, iterations, error).
+
+    Averaged fixed point u <- (u + T u) / 2 with T u = -log sum_j exp(kernel_ij
+    + u_j + log a_j) (Feydy et al., AISTATS 2019).  The rows of the plan
+    (u, u) sum to a * exp(u - T u); the plan is built, and its own error
+    measured, once that estimate is below tol.
+    """
+    log_a = _log_weights(a)
+    u = np.zeros(a.size)
+    for k in range(1, max_iter + 1):
+        t_u = _half_step(kernel, u + log_a, axis=1)
+        err = np.max(a * np.abs(np.expm1(u - t_u)))
+        _check_error(err, k)
+        if err < tol:
+            plan, err = _measured_plan(kernel, u + log_a, u + log_a, a, a, k)
+            if err < tol:
+                return plan, k, err
+        u = 0.5 * (u + t_u)
+    raise _no_convergence(max_iter, err)
+
+
+def _self_transport_cost(m, epsilon, max_iter, tol):
+    cost = _cost_matrix(m, m)
+    plan, _, _ = _symmetric_sinkhorn(-cost / epsilon, m.weights, max_iter, tol)
+    return float(np.sum(plan * cost))
+
+
+def _entropic_plan(mu, nu, epsilon, max_iter, tol):
+    if epsilon is None or not (np.isfinite(epsilon) and epsilon > 0):
+        raise TransportError(f"entropic method needs a finite epsilon > 0, got {epsilon!r}")
+    if not (np.isfinite(tol) and tol > 0):
+        raise TransportError(f"entropic method needs a finite tol > 0, got {tol!r}")
+    if max_iter < 1:
+        raise TransportError(f"entropic method needs max_iter >= 1, got {max_iter!r}")
     cost = _cost_matrix(mu, nu)
-    log_a = np.log(np.maximum(mu.weights, 1e-300))
-    log_b = np.log(np.maximum(nu.weights, 1e-300))
-    plan = _sinkhorn_potentials(log_a, log_b, cost, epsilon, max_iter, tol, mu.weights, nu.weights)
+    plan, iterations, err = _sinkhorn(-cost / epsilon, mu.weights, nu.weights, max_iter, tol)
     raw = float(np.sum(plan * cost))
-    debiased = None
-    if debias:
-        self_mu = _entropic_plan(mu, mu, epsilon, max_iter, tol, debias=False).cost
-        self_nu = _entropic_plan(nu, nu, epsilon, max_iter, tol, debias=False).cost
-        debiased = raw - 0.5 * (self_mu + self_nu)
-    return CouplingPlan(mu, nu, plan, raw, debiased_cost=debiased)
+    self_mu = _self_transport_cost(mu, epsilon, max_iter, tol)
+    self_nu = _self_transport_cost(nu, epsilon, max_iter, tol)
+    debiased = raw - 0.5 * (self_mu + self_nu)
+    return CouplingPlan(
+        mu, nu, plan, raw, debiased_cost=debiased, iterations=iterations, marginal_error=err
+    )
 
 
 def w2_empirical_ot(
@@ -227,8 +325,11 @@ def w2_empirical_ot(
 
     method='exact' solves the linear program (assignment fast path for
     equal-size uniform clouds).  method='entropic' runs log-domain Sinkhorn
-    at regularization epsilon > 0 and additionally reports the debiased cost
-    (raw cost minus half the two self-transport costs) on the plan.
+    at a finite regularization epsilon > 0 and additionally reports the
+    debiased cost (raw cost minus half the two self-transport costs) on the
+    plan.  Each of the three Sinkhorn solves stops once its plan's marginal
+    error is below tol (finite, > 0) and raises SinkhornDivergedError after
+    max_iter (>= 1) iterations or on a non-finite error.
 
     Returns (distance, plan) with distance = sqrt(plan cost).
     """
@@ -239,9 +340,7 @@ def w2_empirical_ot(
     if method == "exact":
         plan = _exact_plan(mu, nu)
     elif method == "entropic":
-        if epsilon is None or epsilon <= 0:
-            raise TransportError("entropic method needs epsilon > 0")
-        plan = _entropic_plan(mu, nu, epsilon, max_iter, tol, debias=True)
+        plan = _entropic_plan(mu, nu, epsilon, max_iter, tol)
     else:
         raise TransportError(f"unknown method {method!r}")
     return float(np.sqrt(max(plan.cost, 0.0))), plan

@@ -2,17 +2,21 @@
 
 Everything here is deliberately brute force (quadrature, exhaustive
 enumeration, dense ODE stepping) and shares no code with the package paths
-it checks.  The two Euler loops at the end are written out step by step as
+it checks.  The two Euler loops are written out step by step as
 references for the package's shared stepping core; they take the Brownian
-increments as input, so they check the stepping and not the noise.
+increments as input, so they check the stepping and not the noise.  The
+Sinkhorn solver at the end is the package's earlier one, kept as the
+reference for the current solver's iterates.
 """
 
 import itertools
 
 import numpy as np
 from scipy.integrate import quad
+from scipy.special import logsumexp
 
 from entroflow import EmpiricalMeasure
+from entroflow.transport import SinkhornDivergedError, _cost_matrix
 
 
 def quad_kl_gaussian_1d(m1, v1, m2, v2):
@@ -194,3 +198,32 @@ def particle_loop(field, x0, times, increments):
         x = x + field.drift(t, x, mu) * h + np.einsum("nij,nj->ni", field.sigma(t, x, mu), increments[:, k, :])
         paths[:, k + 1, :] = x
     return paths
+
+
+def _alternating_sinkhorn_plan(mu, nu, epsilon, max_iter, tol):
+    """Log-domain Sinkhorn plan, alternating g and f updates; the full plan is
+    formed every iteration to check the marginals."""
+    cost = _cost_matrix(mu, nu)
+    a, b = mu.weights, nu.weights
+    log_a = np.log(np.maximum(a, 1e-300))
+    log_b = np.log(np.maximum(b, 1e-300))
+    f = np.zeros(a.size)
+    g = np.zeros(b.size)
+    for _ in range(max_iter):
+        g = -epsilon * logsumexp((f[:, None] - cost) / epsilon + log_a[:, None], axis=0)
+        f = -epsilon * logsumexp((g[None, :] - cost) / epsilon + log_b[None, :], axis=1)
+        log_plan = (f[:, None] + g[None, :] - cost) / epsilon + log_a[:, None] + log_b[None, :]
+        plan = np.exp(log_plan)
+        err = max(np.max(np.abs(plan.sum(axis=1) - a)), np.max(np.abs(plan.sum(axis=0) - b)))
+        if err < tol:
+            return plan, float(np.sum(plan * cost))
+    raise SinkhornDivergedError(f"no convergence after {max_iter} iterations (marginal error {err:.2e})")
+
+
+def alternating_sinkhorn_costs(mu, nu, epsilon, max_iter=10_000, tol=1e-7):
+    """(raw cost, debiased cost) of entropic OT, each of the three problems
+    (cross and the two self-transports) solved by alternating updates."""
+    raw = _alternating_sinkhorn_plan(mu, nu, epsilon, max_iter, tol)[1]
+    self_mu = _alternating_sinkhorn_plan(mu, mu, epsilon, max_iter, tol)[1]
+    self_nu = _alternating_sinkhorn_plan(nu, nu, epsilon, max_iter, tol)[1]
+    return raw, raw - 0.5 * (self_mu + self_nu)

@@ -150,6 +150,14 @@ class TestRun:
         cfg = write_config(tmp_path / "t.ini", "talagrand", tmp_path / "out")
         assert main(["run", str(cfg)]) == 2
 
+    def test_start_vectors_padded_to_d(self, tmp_path):
+        # the default one-entry start vectors are padded with zeros up to d
+        for experiment in ("entropy_cost", "bridge_decomposition"):
+            out = tmp_path / experiment
+            args = ["run", "--experiment", experiment, "--out", str(out), "--set", "d=2"]
+            assert main(args) == 0, experiment
+            report = json.loads((out / f"{experiment}_report.json").read_text())
+            assert validate_report_dict(report)
 
     def test_offered_catalog_names_build(self):
         # each catalog name offered as a choice builds through the lookup the run passes it to

@@ -15,9 +15,20 @@ from entroflow import (
     w2_empirical_ot,
     w2_gaussian,
 )
-from entroflow.transport import MAX_EXACT_ENTRIES, SinkhornDivergedError, _cost_matrix
+from entroflow.transport import (
+    MAX_EXACT_ENTRIES,
+    SINKHORN_MAX_ITER,
+    SINKHORN_TOL,
+    SinkhornDivergedError,
+    _cost_matrix,
+    _sinkhorn,
+)
 
-from _refs import brute_force_w2sq_uniform, w2_quantile_gaussian_1d
+from _refs import (
+    alternating_sinkhorn_costs,
+    brute_force_w2sq_uniform,
+    w2_quantile_gaussian_1d,
+)
 
 
 class TestGaussianW2:
@@ -201,6 +212,77 @@ class TestSinkhorn:
         m = empirical_from_points([[0.0]])
         with pytest.raises(TransportError):
             w2_empirical_ot(m, m, method="entropic")
+
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            {"epsilon": math.nan},
+            {"epsilon": math.inf},
+            {"epsilon": -1.0},
+            {"epsilon": 0.5, "max_iter": 0},
+            {"epsilon": 0.5, "tol": 0.0},
+            {"epsilon": 0.5, "tol": math.nan},
+        ],
+    )
+    def test_bad_arguments_rejected(self, kwargs):
+        m = empirical_from_points([[0.0], [1.0]])
+        with pytest.raises(TransportError, match="entropic method needs"):
+            w2_empirical_ot(m, m, method="entropic", **kwargs)
+
+    def test_nonfinite_error_stops_at_once(self):
+        # a NaN in the kernel poisons the potentials: the solve stops at the
+        # first iteration instead of running to the cap
+        mu = empirical_from_points([[0.0], [1.0]])
+        with np.errstate(invalid="ignore"):
+            with pytest.raises(SinkhornDivergedError, match="not finite after 1 iterations"):
+                _sinkhorn(np.array([[0.0, np.nan], [np.nan, 0.0]]), mu.weights, mu.weights, 100, 1e-7)
+
+    @pytest.mark.parametrize(
+        "kind, eps",
+        [("uniform", 0.05), ("uniform", 0.02), ("gaussian", 0.5), ("weighted", 0.5), ("weighted", 1.0)],
+    )
+    def test_matches_alternating_reference(self, kind, eps):
+        # the cross solve runs the reference's iterates, so its raw cost agrees to
+        # rounding; the debiasing solves differ, each within tol of its marginals
+        rng = np.random.default_rng(40)
+        for _ in range(3):
+            if kind == "uniform":
+                mu = EmpiricalMeasure(rng.uniform(size=(40, 2)))
+                nu = EmpiricalMeasure(rng.uniform(size=(40, 2)))
+            elif kind == "gaussian":
+                mu = EmpiricalMeasure(rng.standard_normal((30, 2)))
+                nu = EmpiricalMeasure(rng.standard_normal((30, 2)) + 1.0)
+            else:
+                mu = EmpiricalMeasure(rng.standard_normal((25, 2)), weights=rng.uniform(0.1, 1, 25))
+                nu = EmpiricalMeasure(rng.standard_normal((32, 2)) + 0.5, weights=rng.uniform(0.1, 1, 32))
+            raw, debiased = alternating_sinkhorn_costs(mu, nu, eps)
+            _, plan = w2_empirical_ot(mu, nu, method="entropic", epsilon=eps)
+            assert abs(plan.cost - raw) <= 1e-12 * abs(raw)
+            assert abs(plan.debiased_cost - debiased) <= 1e-7
+            assert plan.marginal_violation() < SINKHORN_TOL
+
+    def test_symmetric_debiasing_converges_where_alternating_stalls(self):
+        # alternating updates on the self-transport of mu stall at the 10k cap
+        rng = np.random.default_rng(2)
+        mu = EmpiricalMeasure(rng.standard_normal((12, 2)))
+        nu = EmpiricalMeasure(rng.standard_normal((12, 2)) + 1.0)
+        with pytest.raises(SinkhornDivergedError):
+            alternating_sinkhorn_costs(mu, nu, 0.25)
+        _, plan = w2_empirical_ot(mu, nu, method="entropic", epsilon=0.25)
+        assert plan.marginal_violation() < SINKHORN_TOL
+        assert math.isfinite(plan.debiased_cost)
+
+    def test_plan_reports_solver_state(self):
+        rng = np.random.default_rng(9)
+        mu = EmpiricalMeasure(rng.standard_normal((20, 2)))
+        nu = EmpiricalMeasure(rng.standard_normal((15, 2)), weights=rng.uniform(0.1, 1, 15))
+        _, plan = w2_empirical_ot(mu, nu, method="entropic", epsilon=0.5)
+        assert isinstance(plan.iterations, int) and 1 <= plan.iterations <= SINKHORN_MAX_ITER
+        assert plan.marginal_error == pytest.approx(plan.marginal_violation(), rel=0, abs=1e-15)
+        assert plan.marginal_error < SINKHORN_TOL
+        assert set(plan.to_json_dict()) == {"cost", "rows", "cols", "triplets"}
+        exact = w2_empirical_ot(mu, nu, method="exact")[1]
+        assert exact.iterations is None and exact.marginal_error is None
 
 
 class TestProperties:

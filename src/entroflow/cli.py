@@ -7,7 +7,9 @@ so two runs of one config differ only in the timestamp) plus plot-ready CSV.
 
 Exit codes: 0 when every verdict is holds/degenerate/divergent (divergence
 can be the expected finding), 2 when any verdict is "violated", 1 on
-operational errors.
+operational errors and bad input: an unknown [run] key, a format other than
+json and csv, or a parameter that does not parse, is out of range or is not
+finite.
 """
 
 import argparse
@@ -37,6 +39,8 @@ from .divergence import kl_gaussian
 from .reports import write_plot_csv
 
 ENV_OUT_ROOT = "ENTROFLOW_OUT"
+RUN_KEYS = ("experiment", "seed", "out", "formats")
+FORMATS = ("json", "csv")
 
 
 class CliError(Exception):
@@ -269,6 +273,8 @@ def _typed(schema, key, raw):
         raise CliError(f"parameter {key!r}: cannot parse {raw!r} as {spec['type']}") from exc
     if spec["type"] == "int" and val < 1:
         raise CliError(f"parameter {key!r}: {val!r} is not a positive integer")
+    if spec["type"] in ("float", "vec") and not np.all(np.isfinite(val)):
+        raise CliError(f"parameter {key!r}: {raw!r} is not finite")
     if spec["choices"] and val not in spec["choices"]:
         raise CliError(f"parameter {key!r}: {val!r} not in {spec['choices']}")
     return val
@@ -307,12 +313,17 @@ def run_single(config_path, overrides):
     run_cfg.update({k: v for k, v in overrides.items() if k in ("experiment", "seed", "out") and v is not None})
     for k, v in overrides.get("sets", []):
         raw_params[k] = v
+    unknown = sorted(set(run_cfg) - set(RUN_KEYS))
+    if unknown:
+        raise CliError(f"unknown [run] key(s) {unknown}; choose from {RUN_KEYS}")
     name = run_cfg.get("experiment")
     if not name:
         raise CliError("no experiment selected (config [run] experiment= or --experiment)")
+    formats = [f.strip() for f in str(run_cfg.get("formats", "json,csv")).split(",") if f.strip()]
+    if not formats or not set(formats) <= set(FORMATS):
+        raise CliError(f"[run] formats must list one or more of {FORMATS}, got {run_cfg['formats']!r}")
     seed = int(run_cfg.get("seed", 0))
     out = _out_dir(run_cfg.get("out", "out"))
-    formats = [f.strip() for f in str(run_cfg.get("formats", "json,csv")).split(",") if f.strip()]
     params = resolve_params(name, raw_params)
     report, header, rows = EXPERIMENTS[name][2](params, seed)
     report.seed = seed
@@ -406,10 +417,7 @@ def main(argv=None):
             return cmd_list(args)
         parser.print_usage(sys.stderr)
         return 1
-    except CliError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except (OSError, KeyError, ValueError) as exc:
+    except (CliError, OSError, KeyError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

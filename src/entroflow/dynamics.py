@@ -59,6 +59,11 @@ class BlowUpError(DynamicsError):
     """A trajectory left the finite range; halve the step or fix the field."""
 
 
+#: relative slack on the bound for the sampled Lipschitz quotients of
+#: CoefficientField.validate and MVCoefficientField.validate
+LIP_TOL = 0.05
+
+
 # --------------------------------------------------------------------------
 # coefficient data
 
@@ -73,8 +78,9 @@ class DiniModulus:
     def __call__(self, r):
         return self.fn(r)
 
-    def validate(self, grid_hi=2.0, n_grid=64):
-        grid = np.linspace(0.0, grid_hi, n_grid)
+    def validate(self):
+        """Sampled checks on 64 points of [0, 2] and a quadrature of phi(s)/s."""
+        grid = np.linspace(0.0, 2.0, 64)
         vals = np.asarray([float(self.fn(r)) for r in grid])
         if abs(vals[0]) > 1e-12:
             raise DynamicsError("modulus must vanish at 0")
@@ -151,11 +157,11 @@ class CoefficientField:
             return self.sigma_fn(t, x)
         return _batch_spd_sqrt(2.0 * self.diffusion(t, x))
 
-    def validate(self, seed=0, x_scale=2.0, n_samples=32, lip_tol=0.05):
-        """Sampled invariant checks on a randomized (t, x) grid."""
+    def validate(self, seed=0):
+        """Sampled invariant checks at 32 random (t, x), t uniform on [0, horizon], x ~ N(0, 4 I)."""
         rng = np.random.default_rng(seed)
-        t = rng.uniform(0.0, self.horizon, n_samples)
-        x = rng.normal(scale=x_scale, size=(n_samples, self.dim))
+        t = rng.uniform(0.0, self.horizon, 32)
+        x = rng.normal(scale=2.0, size=(32, self.dim))
         k = self.bound
         for ti, xi in zip(t, x):
             pt = xi[None, :]
@@ -170,7 +176,7 @@ class CoefficientField:
             if np.max(np.abs(sig @ sig.T - 2.0 * a)) > 1e-8:
                 raise DynamicsError("sigma sigma^T != 2a within 1e-8")
         # finite-difference Lipschitz quotients on random pairs
-        h = rng.normal(scale=0.5, size=(n_samples, self.dim))
+        h = rng.normal(scale=0.5, size=(32, self.dim))
         y = x + h
         for ti, xi, yi in zip(t, x, y):
             dx = np.linalg.norm(yi - xi)
@@ -182,7 +188,7 @@ class CoefficientField:
             d_a = np.linalg.norm(
                 self.diffusion(ti, yi[None, :])[0] - self.diffusion(ti, xi[None, :])[0], 2
             )
-            if d_b1 > k * (1 + lip_tol) * dx or d_a > k * (1 + lip_tol) * dx:
+            if d_b1 > k * (1 + LIP_TOL) * dx or d_a > k * (1 + LIP_TOL) * dx:
                 raise DynamicsError("sampled Lipschitz quotient exceeds the bound")
         return self
 
@@ -193,8 +199,10 @@ class CoefficientField:
         return _central_div(self.diffusion, t, x)
 
 
-def _central_div(diffusion, t, x, step=1e-4):
-    """Row divergence sum_l d a_il / d x_l of diffusion(t, x) -> (n, d, d) by central differences."""
+def _central_div(diffusion, t, x):
+    """Row divergence sum_l d a_il / d x_l of diffusion(t, x) -> (n, d, d) by
+    central differences with step 1e-4."""
+    step = 1e-4
     x = np.asarray(x, dtype=float)
     out = np.zeros_like(x)
     for l in range(x.shape[1]):
@@ -218,12 +226,10 @@ class BridgeSpec:
     field2: CoefficientField
     t1: float
     epsilon: float = 0.5
-    horizon: Optional[float] = None
 
     def __post_init__(self):
-        T = self.horizon if self.horizon is not None else self.t1
-        if not 0 < self.t1 <= T:
-            raise DynamicsError("need 0 < t1 <= horizon")
+        if not self.t1 > 0:
+            raise DynamicsError("need t1 > 0")
         if not 0 < self.epsilon <= 1.0:
             raise DynamicsError("need epsilon in (0, 1]")
         if self.field1.dim != self.field2.dim:
@@ -233,11 +239,6 @@ class BridgeSpec:
     def t0(self):
         return self.epsilon * self.t1
 
-    @property
-    def canonical(self):
-        """True when the switch time obeys 0 < t0 <= t1/2 <= T/2."""
-        return self.epsilon <= 0.5
-
 
 # --------------------------------------------------------------------------
 # ensembles
@@ -245,12 +246,10 @@ class BridgeSpec:
 
 @dataclass
 class PathEnsemble:
-    """Discretized trajectories on a shared node grid, reproducible from the seed."""
+    """Discretized trajectories on a shared node grid."""
 
     times: np.ndarray
     paths: np.ndarray  # (n_paths, n_nodes, d)
-    noise_mode: str
-    seed: int
     #: sorted paths that turned non-finite, NaN from their blow-up node on (all
     #: paths are, in an interacting ensemble); no slice can then be taken
     aborted: tuple = ()
@@ -384,7 +383,7 @@ def _ensemble(x0, dim, times, seed, n_paths, advance):
     x0_rows = _start_rows(x0, dim, n_paths)
     incs = _increments(times, path_normals(seed, n_paths, times.size - 1, dim))
     paths, aborted = _integrate(x0_rows, times, advance, incs)
-    return PathEnsemble(times=times, paths=paths, noise_mode="independent", seed=seed, aborted=aborted)
+    return PathEnsemble(times=times, paths=paths, aborted=aborted)
 
 
 def euler_maruyama(field, x0, times, seed, n_paths=1):
@@ -429,8 +428,8 @@ def synchronous_pair(field1, field2, x1, x2, times, seed, n_pairs=1):
     incs = _increments(times, path_normals(seed, n_pairs, times.size - 1, d))
     paths, aborted = _integrate(state0, times, advance, incs)
     x, diff = paths[:, :, :d].copy(), paths[:, :, d:].copy()
-    ens1 = PathEnsemble(times=times, paths=x, noise_mode="shared", seed=seed, aborted=aborted)
-    ens2 = PathEnsemble(times=times, paths=x - diff, noise_mode="shared", seed=seed, aborted=aborted)
+    ens1 = PathEnsemble(times=times, paths=x, aborted=aborted)
+    ens2 = PathEnsemble(times=times, paths=x - diff, aborted=aborted)
     with np.errstate(over="ignore"):
         separation = np.linalg.norm(diff, axis=2)
         # the norm squares D: a finite D whose square overflowed is measured again scaled to unit size

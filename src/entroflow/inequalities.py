@@ -16,7 +16,7 @@ import numpy as np
 
 from ._rng import DRAW, substream
 from .divergence import kl_gaussian, kl_knn
-from .meanfield import evolve_particles
+from .meanfield import _particle_times, evolve_particles
 from .measures import EmpiricalMeasure, GaussianMeasure, gaussian_sample
 from .oracles import bridge_law_linear, linear_sde_law, linear_sde_laws, mismatch_bound
 from .reports import ExperimentReport, classify
@@ -46,13 +46,14 @@ class ExperimentError(ValueError):
 # Talagrand: W2(nu, gamma)^2 <= 2 Ent(nu | gamma) against the standard Gaussian
 
 
-def talagrand_experiment(nu, seed=0, n_reference=10_000, n_transport=2_000, k=5):
+def talagrand_experiment(nu, seed=0):
     """Transportation-cost inequality against the standard Gaussian.
 
     Gaussian nu uses closed forms on both sides (tolerance 1e-9); an
     empirical nu is treated as samples of an unknown law, with the entropy
-    estimated by k-NN and the distance by discrete OT against reference
-    samples.  params records the ratio against the sharp constant 2.
+    estimated by k-NN (k=5, against 10,000 reference draws) and the distance
+    by discrete OT between at most 2,000 of its points and as many reference
+    draws.  params records the ratio against the sharp constant 2.
     """
     if isinstance(nu, GaussianMeasure):
         gamma = GaussianMeasure.standard(nu.dim)
@@ -62,17 +63,17 @@ def talagrand_experiment(nu, seed=0, n_reference=10_000, n_transport=2_000, k=5)
         notes = "closed forms"
     elif isinstance(nu, EmpiricalMeasure):
         gamma = GaussianMeasure.standard(nu.dim)
-        ref = gaussian_sample(gamma, n_reference, seed)
-        ent = kl_knn(nu, ref, k=k)
+        ref = gaussian_sample(gamma, 10_000, seed)
+        ent = kl_knn(nu, ref, k=5)
         rng = substream(seed, DRAW, 1)
-        m = min(nu.n_points, n_transport)
+        m = min(nu.n_points, 2_000)
         sub = nu if nu.n_points <= m else EmpiricalMeasure(
             nu.points[rng.choice(nu.n_points, size=m, replace=False)]
         )
         ref_small = gaussian_sample(gamma, sub.n_points, seed + 1)
         w2 = w2_empirical_ot(sub, ref_small, method="exact")[0]
         left, right, tol = w2 * w2, 2.0 * ent, 0.1
-        notes = f"k-NN entropy (k={k}) and discrete OT estimates; statistical tolerance"
+        notes = "k-NN entropy (k=5) and discrete OT estimates; statistical tolerance"
     else:
         raise ExperimentError("nu must be a GaussianMeasure or EmpiricalMeasure")
     ratio = math.nan if left == 0 else right / left
@@ -367,8 +368,9 @@ def log_harnack_coefficient(k_curv, t):
     return k_curv / (2.0 * (math.expm1(2.0 * k_curv * t)))
 
 
-def _gauss_hermite_nodes(dim, n_nodes=96):
-    x, w = np.polynomial.hermite.hermgauss(n_nodes)
+def _gauss_hermite_nodes(dim):
+    """96-point Gauss-Hermite rule for N(0, I) in dim <= 2 (tensor product in 2-D)."""
+    x, w = np.polynomial.hermite.hermgauss(96)
     x = x * math.sqrt(2.0)
     w = w / math.sqrt(math.pi)
     if dim == 1:
@@ -392,14 +394,16 @@ def _semigroup_apply(fn, z, t, k_curv, nodes, weights):
     return float(weights @ fn(pts))
 
 
-def log_harnack_experiment(k_curv, t, x, y, f_family=None, tol=1e-8):
+def log_harnack_experiment(k_curv, t, x, y, f_family=None):
     """P_t log f(x) <= log P_t f(y) + coefficient * |x-y|^2 per test function.
 
     The semigroup has unit diffusion matrix and linear drift -K x (heat flow
-    at K=0); P_t integrals are evaluated by Gauss-Hermite quadrature.
-    Functions that are not strictly positive on the quadrature range are
-    rejected.  left/right are taken at the worst function of the family.
+    at K=0); P_t integrals are evaluated by Gauss-Hermite quadrature, and
+    the check holds within 1e-8.  Functions that are not strictly positive
+    on the quadrature range are rejected.  left/right are taken at the worst
+    function of the family.
     """
+    tol = 1e-8
     x = np.asarray(x, dtype=float).reshape(-1)
     y = np.asarray(y, dtype=float).reshape(-1)
     if x.size != y.size:
@@ -442,17 +446,7 @@ def log_harnack_experiment(k_curv, t, x, y, f_family=None, tol=1e-8):
 # entropy-cost for the particle flow (rate-only, estimated)
 
 
-def meanfield_entropy_cost_experiment(
-    field,
-    nu1,
-    nu2,
-    t_grid,
-    n_particles,
-    n_steps,
-    seed=0,
-    k=5,
-    max_rel_stderr=0.5,
-):
+def meanfield_entropy_cost_experiment(field, nu1, nu2, t_grid, n_particles, n_steps, seed=0, k=5):
     """Estimated Ent(flow_t nu1 | flow_t nu2) against W2(nu1, nu2)^2 / t.
 
     Two independently seeded particle clouds approximate the two flows; the
@@ -460,11 +454,11 @@ def meanfield_entropy_cost_experiment(
     error, producing the measured entropy-cost constant
     sup_t t*Ent / W2(nu1,nu2)^2.  The constant itself is non-constructive,
     so the verdict is rate-only ("holds" with the constant recorded) unless
-    the estimator noise swamps the values, which is reported as degenerate.
+    the estimator noise swamps the values (largest standard error above half
+    the largest entropy), which is reported as degenerate.
     """
     t_grid = np.sort(np.asarray(t_grid, dtype=float))
-    t_end = float(t_grid[-1])
-    times = np.unique(np.concatenate([np.linspace(0.0, t_end, int(n_steps) + 1), t_grid]))
+    times = _particle_times(t_grid, n_steps)
     ens1 = evolve_particles(field, nu1, n_particles, times, seed, stream=0)
     ens2 = evolve_particles(field, nu2, n_particles, times, seed, stream=1)
     w0 = w2_exact(nu1, nu2)
@@ -497,7 +491,7 @@ def meanfield_entropy_cost_experiment(
         verdict, notes = "degenerate", "identical initial measures: ratio undefined; entropies should sit at 0"
     else:
         left, tol = float(np.max(t_grid * ents)) / w0**2, 0.0
-        if float(np.max(ses)) > max_rel_stderr * max(float(np.max(np.abs(ents))), 1e-12):
+        if float(np.max(ses)) > 0.5 * max(float(np.max(np.abs(ents))), 1e-12):
             right, verdict, notes = 0.0, "degenerate", "estimator variance too large: inconclusive"
         else:
             right, verdict = left, "holds"

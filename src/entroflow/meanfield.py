@@ -20,7 +20,10 @@ from typing import Callable, Optional
 import numpy as np
 
 from ._rng import INIT, path_normals, substream
-from .dynamics import DynamicsError, PathEnsemble, _batch_spd_sqrt, _central_div, _increments, _integrate, _step
+from .dynamics import (
+    LIP_TOL, DynamicsError, PathEnsemble, _batch_spd_sqrt, _central_div, _increments, _integrate, _step,
+    refine_grid, time_grid,
+)
 from .measures import EmpiricalMeasure, GaussianMeasure, _gaussian_points
 from .reports import ExperimentReport, classify
 from .transport import gaussian_optimal_map, optimal_coupling_discrete, w2_exact
@@ -69,7 +72,7 @@ class MVCoefficientField:
         return _central_div(lambda t_, x_: self.diffusion(t_, x_, mu), t, x)
 
     @classmethod
-    def from_static(cls, field, label=""):
+    def from_static(cls, field):
         """Distribution-free wrapper around a CoefficientField.
 
         The wrapped callables ignore the measure argument and reuse the
@@ -84,26 +87,27 @@ class MVCoefficientField:
             div_a_fn=(lambda t, x, mu: field.div_a(t, x)) if field.div_a_fn else None,
             bound=field.bound,
             w2_lipschitz=0.0,
-            label=label or field.label,
+            label=field.label,
         )
 
-    def validate(self, seed=0, n_pairs=16, tol=0.05, t_hi=1.0, x_scale=2.0):
-        """Sampled check of the measure-Lipschitz bounds on random cloud pairs."""
+    def validate(self, seed=0):
+        """Sampled check of the measure-Lipschitz bounds on 16 random cloud pairs,
+        at t uniform on [0, 1] and 8 points x ~ N(0, 4 I) each."""
         rng = np.random.default_rng(seed)
         kw2 = self.w2_lipschitz
-        for _ in range(n_pairs):
+        for _ in range(16):
             n = int(rng.integers(2, 8))
             mu = EmpiricalMeasure(rng.normal(size=(n, self.dim)))
             nu = EmpiricalMeasure(mu.points + rng.normal(scale=0.3, size=(n, self.dim)))
             w2 = w2_exact(mu, nu)
             if w2 < 1e-9:
                 continue
-            t = float(rng.uniform(0.0, t_hi))
-            x = rng.normal(scale=x_scale, size=(8, self.dim))
+            t = float(rng.uniform(0.0, 1.0))
+            x = rng.normal(scale=2.0, size=(8, self.dim))
             db = np.max(np.linalg.norm(self.drift(t, x, nu) - self.drift(t, x, mu), axis=1))
             da = np.max(np.abs(self.diffusion(t, x, nu) - self.diffusion(t, x, mu)))
             dd = np.max(np.linalg.norm(self.div_a(t, x, nu) - self.div_a(t, x, mu), axis=1))
-            if max(db, da, dd) > kw2 * w2 * (1.0 + tol):
+            if max(db, da, dd) > kw2 * w2 * (1.0 + LIP_TOL):
                 raise DynamicsError("sampled measure-Lipschitz bound violated")
         return self
 
@@ -152,18 +156,26 @@ def evolve_particles(field, init, n_particles, times, seed, stream=0):
     times = np.asarray(times, dtype=float)
     x = _initial_cloud(init, n_particles, seed, stream)
     paths, aborted = _particle_paths(field, x, times, seed, stream)
-    return PathEnsemble(times=times, paths=paths, noise_mode="independent", seed=seed, aborted=aborted)
+    return PathEnsemble(times=times, paths=paths, aborted=aborted)
 
 
-def flow_map(field, mu0, t, n_particles, n_steps, seed, stream=0):
-    """Empirical approximation of the measure flow at time t from mu0."""
+def flow_map(field, mu0, t, n_particles, n_steps, seed):
+    """Empirical approximation of the measure flow at time t from mu0, by
+    n_steps >= 1 Euler steps of an n_particles cloud (the cloud itself at t = 0)."""
     if t < 0:
         raise DynamicsError("need t >= 0")
     if t == 0:
-        return EmpiricalMeasure(_initial_cloud(mu0, n_particles, seed, stream))
-    times = np.linspace(0.0, float(t), int(n_steps) + 1)
-    ens = evolve_particles(field, mu0, n_particles, times, seed, stream)
+        return EmpiricalMeasure(_initial_cloud(mu0, n_particles, seed, 0))
+    ens = evolve_particles(field, mu0, n_particles, time_grid(t, n_steps), seed)
     return ens.terminal_measure()
+
+
+def _particle_times(t_grid, n_steps):
+    """time_grid(max t_grid, n_steps) with every time of t_grid an exact node."""
+    times = time_grid(max(t_grid), n_steps)
+    for t in t_grid:
+        times = refine_grid(times, t)
+    return times
 
 
 def _coupled_initial_clouds(nu1, nu2, n, seed):
@@ -185,8 +197,9 @@ def _coupled_initial_clouds(nu1, nu2, n, seed):
     return nu1.points[ii].copy(), nu2.points[jj].copy()
 
 
-def _w2_cloud_ratio(p1, p2, idx, n_batches=8):
-    """W2 between two clouds at a time slice, with a batch standard error."""
+def _w2_cloud_ratio(p1, p2, idx):
+    """W2 between two clouds at a time slice, with a standard error over 8 batches."""
+    n_batches = 8
     a, b = p1[:, idx, :], p2[:, idx, :]
     full = w2_exact(EmpiricalMeasure(a), EmpiricalMeasure(b))
     n = a.shape[0]
@@ -210,7 +223,6 @@ def w2_stability_experiment(field, nu1, nu2, t_grid, n_particles, n_steps, seed,
     DynamicsError.
     """
     t_grid = np.asarray(t_grid, dtype=float)
-    t_end = float(t_grid.max())
     w0 = w2_exact(nu1, nu2)
     params = {"w2_initial": w0, "t_grid": t_grid.tolist()}
     if w0 < 1e-12:
@@ -218,8 +230,7 @@ def w2_stability_experiment(field, nu1, nu2, t_grid, n_particles, n_steps, seed,
         verdict, notes = "degenerate", "initial measures coincide: Lipschitz ratio undefined"
     else:
         x1, x2 = _coupled_initial_clouds(nu1, nu2, n_particles, seed)
-        times = np.linspace(0.0, t_end, int(n_steps) + 1)
-        times = np.unique(np.concatenate([times, t_grid]))
+        times = _particle_times(t_grid, n_steps)
         p1, aborted1 = _particle_paths(field, x1, times, seed, stream=0)
         p2, aborted2 = _particle_paths(field, x2, times, seed, stream=0)
         if aborted1 or aborted2:

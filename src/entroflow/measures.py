@@ -66,8 +66,8 @@ class EmpiricalMeasure:
     def n_points(self):
         return self.points.shape[0]
 
-    def is_uniform(self, tol=1e-12):
-        return np.max(np.abs(self.weights - 1.0 / self.n_points)) <= tol
+    def is_uniform(self):
+        return np.max(np.abs(self.weights - 1.0 / self.n_points)) <= 1e-12
 
     def second_moment(self):
         """integral |x|^2 dm  (always finite for a finite cloud)."""
@@ -82,10 +82,9 @@ class EmpiricalMeasure:
 
     # ---- serialization -------------------------------------------------
 
-    def to_csv(self, path, include_weights=None):
+    def to_csv(self, path):
         """One point per row; trailing weight column unless uniform."""
-        if include_weights is None:
-            include_weights = not self.is_uniform()
+        include_weights = not self.is_uniform()
         with open(path, "w", newline="") as fh:
             writer = csv.writer(fh)
             for x, w in zip(self.points, self.weights):

@@ -214,14 +214,11 @@ def _law_at(m, cov, t):
 
 def linear_sde_law(spec, t):
     """Gaussian law of the linear SDE at time t in [0, horizon]."""
-    if not 0 <= t <= spec.horizon + 1e-12:
-        raise OracleError("t outside [0, horizon]")
     if t == 0:
         if spec.is_point_start():
             raise OracleError("law at t=0 for a point start is a point mass, not a Gaussian")
         return GaussianMeasure(spec.initial_mean, spec.initial_cov)
-    (m, cov), = _moment_path(spec, spec.initial_mean, spec.initial_cov, 0.0, [t])
-    return _law_at(m, cov, t)
+    return linear_sde_laws(spec, [t])[0]
 
 
 def linear_sde_laws(spec, times):
@@ -297,15 +294,14 @@ class MismatchBound:
         return self.value
 
 
-def _node_values(field1, field2, law_provider, breakpoints, n_mc, seed, node_offset):
-    """Midpoint-rule contributions of 0.5 E|a2^{-1/2} Phi|^2 on each interval."""
-    mids = 0.5 * (breakpoints[:-1] + breakpoints[1:])
-    widths = np.diff(breakpoints)
+def _node_values(field1, field2, law_provider, mids, keys, n_mc, seed):
+    """0.5 E|a2^{-1/2} Phi(s, X_s)|^2 at each time s of mids; node j draws from
+    the substream with index keys[j]."""
     vals = np.empty(mids.size)
-    for j, s in enumerate(mids):
+    for j, (s, key) in enumerate(zip(mids, keys)):
         law = law_provider(s)
         if isinstance(law, GaussianMeasure):
-            draws = _gaussian_points(law, n_mc, substream(seed, DRAW, node_offset + j))
+            draws = _gaussian_points(law, n_mc, substream(seed, DRAW, key))
             score_law = law
         else:
             draws = law.points
@@ -314,7 +310,7 @@ def _node_values(field1, field2, law_provider, breakpoints, n_mc, seed, node_off
         a2 = field2.diffusion(s, draws)
         weighted = np.einsum("nij,nj->ni", np.linalg.inv(a2), phi)
         vals[j] = 0.5 * float(np.mean(np.einsum("ni,ni->n", phi, weighted)))
-    return mids, widths, vals
+    return vals
 
 
 def mismatch_bound(field1, field2, t, law_provider, n_mc=500, seed=0, n_nodes=200):
@@ -337,34 +333,24 @@ def mismatch_bound(field1, field2, t, law_provider, n_mc=500, seed=0, n_nodes=20
     if not callable(law_provider):
         raise OracleError("law_provider must be callable")
     main = t * (1e-4 ** (1.0 - np.arange(n_nodes + 1) / n_nodes))
-    # probe decades below the main grid, 8 subintervals each, shallow to deep
-    probe_edges = [
-        np.geomspace(t * 10.0 ** -(dec + 1), t * 10.0 ** -dec, 9) for dec in range(4, 12)
-    ]
-    decade_inc = []
-    diverged = False
-    all_mids, all_vals = [], []
-    for di, edges in enumerate(probe_edges):
-        mids, widths, vals = _node_values(field1, field2, law_provider, edges, n_mc, seed, 10_000 + 8 * di)
-        inc = float(np.sum(vals * widths))
-        decade_inc.append(inc)
-        all_mids.append(mids)
-        all_vals.append(vals)
-    mids, widths, vals = _node_values(field1, field2, law_provider, main, n_mc, seed, 0)
-    main_total = float(np.sum(vals * widths))
-    all_mids.append(mids)
-    all_vals.append(vals)
-    total = main_total + float(np.sum(decade_inc))
-    if total > DIVERGENCE_OVERFLOW:
-        diverged = True
-    else:
-        last, prev = decade_inc[-1], decade_inc[-2]
-        floor = 1e-10 * max(1.0, total)
-        if last > floor and prev > 0 and last >= DECADE_DECAY_RATIO * prev:
-            diverged = True
-    order = np.argsort(np.concatenate(all_mids))
-    nodes = np.concatenate(all_mids)[order]
-    integrand = np.concatenate(all_vals)[order]
+    # one ascending grid: the probe decades below the main grid, 8
+    # subintervals each and the deepest first, then the main grid.  Probe
+    # node j of decade t*[1e-(dec+1), 1e-dec] draws from substream
+    # 10_000 + 8 (dec - 4) + j, main node j from substream j.
+    decades = range(11, 3, -1)
+    probe = [np.geomspace(t * 10.0 ** -(dec + 1), t * 10.0 ** -dec, 9) for dec in decades]
+    lo = np.concatenate([edges[:-1] for edges in probe] + [main[:-1]])
+    hi = np.concatenate([edges[1:] for edges in probe] + [main[1:]])
+    keys = [10_000 + 8 * (dec - 4) + j for dec in decades for j in range(8)] + list(range(n_nodes))
+    nodes = 0.5 * (lo + hi)
+    integrand = _node_values(field1, field2, law_provider, nodes, keys, n_mc, seed)
+    parts = integrand * (hi - lo)
+    # per-decade increments, shallow to deep
+    decade_inc = [float(np.sum(parts[8 * i : 8 * i + 8])) for i in reversed(range(len(decades)))]
+    total = float(np.sum(parts[8 * len(decades) :])) + float(np.sum(decade_inc))
+    last, prev = decade_inc[-1], decade_inc[-2]
+    floor = 1e-10 * max(1.0, total)
+    diverged = total > DIVERGENCE_OVERFLOW or (last > floor and prev > 0 and last >= DECADE_DECAY_RATIO * prev)
     return MismatchBound(
         value=math.inf if diverged else total,
         diverged=diverged,
@@ -392,7 +378,4 @@ def bridge_law_linear(spec1, spec2, x1, t0, t1):
         (m, cov), = _moment_path(spec1, m, cov, 0.0, [t0])
     if t1 > t0:
         (m, cov), = _moment_path(spec2, m, cov, t0, [t1])
-    try:
-        return GaussianMeasure(m, cov)
-    except MeasureError as exc:
-        raise OracleError(f"bridge law covariance not SPD: {exc}") from exc
+    return _law_at(m, cov, t1)

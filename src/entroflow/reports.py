@@ -99,8 +99,8 @@ class ExperimentReport:
         }
         return {k: d[k] for k in _JSON_KEYS}
 
-    def to_json(self, indent=2):
-        return json.dumps(self.to_json_dict(), indent=indent, sort_keys=True)
+    def to_json(self):
+        return json.dumps(self.to_json_dict(), indent=2, sort_keys=True)
 
     @classmethod
     def from_json_dict(cls, d):

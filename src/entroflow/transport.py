@@ -76,18 +76,18 @@ class CouplingPlan:
     def recompute_cost(self):
         return float(np.sum(self.matrix * _cost_matrix(self.mu, self.nu)))
 
-    def validate(self, marginal_tol=1e-9, cost_rtol=1e-9):
-        if np.any(self.matrix < -marginal_tol):
+    def validate(self):
+        if np.any(self.matrix < -1e-9):
             raise TransportError("plan has negative mass")
-        if self.marginal_violation() > marginal_tol:
+        if self.marginal_violation() > 1e-9:
             raise TransportError("plan marginals violated beyond 1e-9")
         ref = self.recompute_cost()
-        if abs(ref - self.cost) > cost_rtol * max(1.0, abs(ref)):
+        if abs(ref - self.cost) > 1e-9 * max(1.0, abs(ref)):
             raise TransportError("stored cost disagrees with the plan")
         return self
 
-    def to_json_dict(self, mass_floor=0.0):
-        ii, jj = np.nonzero(self.matrix > mass_floor)
+    def to_json_dict(self):
+        ii, jj = np.nonzero(self.matrix > 0.0)
         return {
             "cost": self.cost,
             "rows": int(self.matrix.shape[0]),

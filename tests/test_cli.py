@@ -66,10 +66,15 @@ class TestRun:
             ("mismatch_singularity", "n_mc=0", "'n_mc'"),
             ("meanfield_entropy_cost", "k=0", "'k'"),
             ("mismatch_singularity", "a1=0", "a_scale"),
-            ("mismatch_singularity", "a1=inf", "a_scale"),
+            ("mismatch_singularity", "a1=inf", "'a1'"),
             ("meanfield_entropy_cost", "field_a=0", "a_scale"),
             ("entropy_cost", "spec1_a=-1", "a_scale"),
-            ("bridge_decomposition", "spec2_a=nan", "a_scale"),
+            ("bridge_decomposition", "spec2_a=nan", "'spec2_a'"),
+            # non-finite numbers stop at the CLI instead of reaching a verdict
+            ("log_harnack", "t=nan", "'t'"),
+            ("log_harnack", "k_curv=nan", "'k_curv'"),
+            ("entropy_cost", "bound_factor=nan", "'bound_factor'"),
+            ("talagrand", "mean=1,nan", "'mean'"),
         ]
         for experiment, setting, named in cases:
             capsys.readouterr()
@@ -77,6 +82,22 @@ class TestRun:
             assert main(args) == 1, setting
             err = capsys.readouterr().err
             assert err.startswith("error: ") and named in err, (setting, err)
+
+    def test_unknown_run_key_exit_one(self, tmp_path, capsys):
+        # a misspelt key must not be ignored: "sed = 5" is not a seed
+        cfg = write_config(tmp_path / "t.ini", "talagrand", tmp_path / "out")
+        cfg.write_text(cfg.read_text().replace("seed = 7", "sed = 5"))
+        assert main(["run", str(cfg)]) == 1
+        assert "'sed'" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("formats", ["jsn", "json,xml", ","])
+    def test_bad_formats_exit_one(self, tmp_path, capsys, formats):
+        # a run that would write no report must not exit 0
+        cfg = write_config(tmp_path / "t.ini", "talagrand", tmp_path / "out", formats=formats)
+        assert main(["run", str(cfg)]) == 1
+        assert "formats" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     def test_divergent_finding_exit_zero(self, tmp_path):
         cfg = write_config(

@@ -16,7 +16,7 @@ from entroflow import (
     w2_exact,
     w2_stability_experiment,
 )
-from entroflow.catalog import mean_field_ou, ou_field
+from entroflow.catalog import make_mv_field, mean_field_ou, ou_field
 from entroflow.dynamics import _increments, _step
 from entroflow._rng import path_normals
 from entroflow.meanfield import _initial_cloud
@@ -136,6 +136,12 @@ class TestFlowMap:
         pts = np.arange(10.0)[:, None]
         cloud = flow_map(mean_field_ou(1), EmpiricalMeasure(pts), 0.0, 10, 16, seed=9)
         assert np.array_equal(cloud.points, pts)
+
+    def test_zero_steps_rejected(self):
+        # zero steps at t > 0 must not hand back the unmoved cloud as the law at t
+        cloud = EmpiricalMeasure(np.full((50, 1), 3.0))
+        with pytest.raises(DynamicsError):
+            flow_map(make_mv_field("ou", 1), cloud, 2.0, 50, 0, seed=1)
 
     def test_distribution_free_ou_matches_gaussian_oracle(self):
         base = ou_field(1, rate=1.0, a_scale=0.5)

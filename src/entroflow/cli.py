@@ -16,7 +16,6 @@ import argparse
 import concurrent.futures
 import configparser
 import json
-import math
 import os
 import sys
 
@@ -159,8 +158,7 @@ def _run_mismatch(p, seed):
         label=p["pair"],
     )
     rep = mismatch_singularity_experiment([case], t, n_mc=p["n_mc"], seed=seed)
-    bound = rep.params["cases"][0]["bound"]
-    rows = [(p["pair"], true_ent, bound if math.isfinite(bound) else "inf")]
+    rows = [(p["pair"], true_ent, rep.params["cases"][0]["bound"])]
     return rep, ("pair", "true_entropy", "bound"), rows
 
 
@@ -323,9 +321,9 @@ def run_single(config_path, overrides):
     if not formats or not set(formats) <= set(FORMATS):
         raise CliError(f"[run] formats must list one or more of {FORMATS}, got {run_cfg['formats']!r}")
     seed = int(run_cfg.get("seed", 0))
-    out = _out_dir(run_cfg.get("out", "out"))
     params = resolve_params(name, raw_params)
     report, header, rows = EXPERIMENTS[name][2](params, seed)
+    out = _out_dir(run_cfg.get("out", "out"))
     report.seed = seed
     report.stamp()
     written = []

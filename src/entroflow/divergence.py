@@ -15,7 +15,7 @@ from scipy.spatial import cKDTree
 from scipy.special import logsumexp
 
 from .measures import EmpiricalMeasure, GaussianMeasure, MeasureError
-from .reports import ExperimentReport, classify
+from .reports import ExperimentReport
 
 
 class DivergenceError(ValueError):
@@ -161,6 +161,5 @@ def interpolation_bound_check(mu1, mu2, mu, p):
         left=left,
         right=right,
         tolerance=tol,
-        verdict=classify(left, right, tol),
         notes=notes,
     )

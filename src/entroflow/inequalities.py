@@ -2,7 +2,8 @@
 dynamics machinery into inequality checks.
 
 Each experiment returns an ExperimentReport carrying both sides of the
-checked inequality, the statistical tolerance and a verdict.  Where the
+checked inequality and the statistical tolerance; the report derives the
+verdict, and an experiment names only "degenerate" or "divergent".  Where the
 underlying constant is non-constructive the check is rate-only: the measured
 constant is recorded for regression tracking instead of being compared
 against a reference value.
@@ -19,7 +20,7 @@ from .divergence import kl_gaussian, kl_knn
 from .meanfield import _particle_times, evolve_particles
 from .measures import EmpiricalMeasure, GaussianMeasure, gaussian_sample
 from .oracles import bridge_law_linear, linear_sde_law, linear_sde_laws, mismatch_bound
-from .reports import ExperimentReport, classify
+from .reports import ExperimentReport
 from .transport import w2_empirical_ot, w2_exact, w2_gaussian
 
 __all__ = [
@@ -77,7 +78,7 @@ def talagrand_experiment(nu, seed=0):
     else:
         raise ExperimentError("nu must be a GaussianMeasure or EmpiricalMeasure")
     ratio = math.nan if left == 0 else right / left
-    verdict = classify(left, right, tol)
+    verdict = None
     if math.isinf(right):
         verdict = "degenerate"
         notes += "; vacuous: entropy infinite"
@@ -146,7 +147,7 @@ def entropy_cost_experiment(spec1, spec2, x1, x2, t_grid, bound_factor=10.0):
         verdict, notes = "degenerate", "identical flows from identical starts: 0/0 ratio"
     else:
         left, right, tol = float(np.max(t_ent)), bound_factor * float(t_ent[-1]), 1e-12
-        verdict = classify(left, right, tol)
+        verdict = None
         notes = "boundedness of t*Ent over the grid" + ("; sharp heat coefficient recorded" if sharp else "")
     return ExperimentReport(
         name="entropy_cost", params=params, left=left, right=right, tolerance=tol, verdict=verdict, notes=notes
@@ -174,8 +175,9 @@ def mismatch_singularity_experiment(cases, t, n_mc=500, seed=0, n_nodes=200):
     Equal-diffusion pairs must produce a finite bound dominating the true
     entropy (when supplied); a uniform diffusion gap must trip the
     divergence flag.  The report verdict is "divergent" when any pair
-    diverged (the expected finding for a gap), otherwise the comparison for
-    the most binding finite pair.
+    diverged (the expected finding for a gap), "degenerate" when no pair
+    supplies a true entropy (nothing is compared), otherwise the comparison
+    for the most binding finite pair.
     """
     rows = []
     diverged_labels = []
@@ -208,8 +210,10 @@ def mismatch_singularity_experiment(cases, t, n_mc=500, seed=0, n_nodes=200):
         left, right = binding[1], binding[2]
     if diverged_labels:
         verdict, notes = "divergent", f"divergence flag raised for: {', '.join(diverged_labels)}"
+    elif binding is None:
+        verdict, notes = "degenerate", "no pair supplies a true entropy: nothing to compare"
     else:
-        verdict, notes = classify(left, right, tol), "finite bound dominates the true entropy for every pair"
+        verdict, notes = None, "finite bound dominates the true entropy for every pair"
     return ExperimentReport(
         name="mismatch_singularity",
         params=params,
@@ -291,7 +295,7 @@ def bridge_decomposition_experiment(spec1, spec2, x1, x2, t1, epsilon=0.5, p=2.0
         notes = "power integral not Gaussian-integrable: right side infinite"
     else:
         right = first + (p - 1.0) * log_power
-        verdict, notes = classify(left, right, tol), "closed-form Gaussian decomposition"
+        verdict, notes = None, "closed-form Gaussian decomposition"
     return ExperimentReport(
         name="bridge_decomposition",
         params=params,
@@ -437,7 +441,6 @@ def log_harnack_experiment(k_curv, t, x, y, f_family=None):
         left=worst[0],
         right=worst[1],
         tolerance=tol,
-        verdict=classify(worst[0], worst[1], tol),
         notes="Gauss-Hermite quadrature on the Gaussian semigroup",
     )
 
@@ -494,7 +497,7 @@ def meanfield_entropy_cost_experiment(field, nu1, nu2, t_grid, n_particles, n_st
         if float(np.max(ses)) > 0.5 * max(float(np.max(np.abs(ents))), 1e-12):
             right, verdict, notes = 0.0, "degenerate", "estimator variance too large: inconclusive"
         else:
-            right, verdict = left, "holds"
+            right, verdict = left, None
             notes = f"rate-only: measured entropy-cost constant {left:.6g} with 3-sigma bars in params"
     return ExperimentReport(
         name="meanfield_entropy_cost",

@@ -25,7 +25,7 @@ from .dynamics import (
     refine_grid, time_grid,
 )
 from .measures import EmpiricalMeasure, GaussianMeasure, _gaussian_points
-from .reports import ExperimentReport, classify
+from .reports import ExperimentReport
 from .transport import gaussian_optimal_map, optimal_coupling_discrete, w2_exact
 
 __all__ = [
@@ -250,13 +250,11 @@ def w2_stability_experiment(field, nu1, nu2, t_grid, n_particles, n_steps, seed,
         )
         worst = int(np.argmax(ratios))
         left = float(ratios[worst])
-        tol = 3.0 * float(ses[worst])
+        verdict = None
         if bound is None:
-            right, verdict, notes = left, "holds", f"rate-only: measured Lipschitz constant {left:.6g}"
-            tol = 0.0
+            right, tol, notes = left, 0.0, f"rate-only: measured Lipschitz constant {left:.6g}"
         else:
-            right = float(bound)
-            verdict = classify(left, right, tol)
+            right, tol = float(bound), 3.0 * float(ses[worst])
             notes = "ratio vs supplied bound at 3 batch standard errors"
     return ExperimentReport(
         name="w2_stability",

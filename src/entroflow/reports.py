@@ -1,11 +1,15 @@
 """Named inequality-check records.
 
-An ExperimentReport stores both sides of a checked inequality plus the
-statistical tolerance and a verdict.  The verdict for finite values is a pure
-function of (left, right, tolerance); an infinite right side makes the check
-vacuously true and is tagged in the notes.  Verdicts "degenerate" and
-"divergent" mark checks whose values are not meaningful as a comparison
-(0/0 ratios, flagged divergent bounds) rather than failures.
+An ExperimentReport stores both sides of a checked inequality, the
+statistical tolerance and a verdict, and it is the one place that decides
+between "holds" and "violated": holds iff left <= right + tolerance in the
+extended reals, so an infinite right side holds vacuously and a NaN side is
+violated.  An experiment declares only the outcomes its values cannot show:
+"degenerate" (0/0 ratios, inconclusive estimates) and "divergent" (a
+flagged divergent bound).  The tolerance must be a nonnegative number.
+validate_report_dict enforces the rules of docs/experiment_report.schema.json
+on a decoded report; it lets an infinite left or right through, which strict
+JSON cannot carry.
 """
 
 import csv
@@ -18,7 +22,7 @@ import numpy as np
 
 VERDICTS = ("holds", "violated", "degenerate", "divergent")
 
-#: fixed key order of the report JSON schema
+#: the keys of the report JSON schema, no more and no fewer
 _JSON_KEYS = (
     "name",
     "params",
@@ -44,29 +48,37 @@ def classify(left, right, tolerance):
 
 @dataclass
 class ExperimentReport:
+    """One inequality check.  Without a verdict, the verdict is derived from
+    (left, right, tolerance); a "holds" or "violated" passed in (a decoded
+    report, a positional caller) must agree with that derivation, and
+    "degenerate" or "divergent" is kept as declared."""
+
     name: str
     params: dict
     left: float
     right: float
     tolerance: float
-    verdict: str
+    verdict: str | None = None
     notes: str = ""
     seed: int | None = None
     timestamp: str = ""
 
     def __post_init__(self):
-        if self.verdict not in VERDICTS:
+        if self.verdict is not None and self.verdict not in VERDICTS:
             raise ValueError(f"unknown verdict {self.verdict!r}")
         self.left = float(self.left)
         self.right = float(self.right)
         self.tolerance = float(self.tolerance)
-        if self.verdict in ("holds", "violated"):
-            want = classify(self.left, self.right, self.tolerance)
-            if want != self.verdict:
+        if not self.tolerance >= 0:
+            raise ValueError(f"tolerance must be a number >= 0, got {self.tolerance!r}")
+        if self.verdict in (None, "holds", "violated"):
+            derived = classify(self.left, self.right, self.tolerance)
+            if self.verdict not in (None, derived):
                 raise ValueError(
                     f"verdict {self.verdict!r} inconsistent with "
                     f"left={self.left!r}, right={self.right!r}, tol={self.tolerance!r}"
                 )
+            self.verdict = derived
 
     @property
     def margin(self):
@@ -74,18 +86,12 @@ class ExperimentReport:
             return math.nan
         return self.right - self.left
 
-    def recompute_verdict(self):
-        """The verdict implied by the stored values (degenerate/divergent kept)."""
-        if self.verdict in ("degenerate", "divergent"):
-            return self.verdict
-        return classify(self.left, self.right, self.tolerance)
-
     def stamp(self):
         self.timestamp = datetime.now(timezone.utc).isoformat()
         return self
 
     def to_json_dict(self):
-        d = {
+        return {
             "name": self.name,
             "params": self.params,
             "left": self.left,
@@ -97,14 +103,13 @@ class ExperimentReport:
             "seed": self.seed,
             "timestamp": self.timestamp,
         }
-        return {k: d[k] for k in _JSON_KEYS}
 
     def to_json(self):
         return json.dumps(self.to_json_dict(), indent=2, sort_keys=True)
 
     @classmethod
     def from_json_dict(cls, d):
-        rep = cls(
+        return cls(
             name=d["name"],
             params=d["params"],
             left=d["left"],
@@ -115,21 +120,6 @@ class ExperimentReport:
             seed=d.get("seed"),
             timestamp=d.get("timestamp", ""),
         )
-        return rep
-
-
-def holds_report(name, params, left, right, tolerance, notes="", seed=None):
-    """Report with the verdict computed from the values."""
-    return ExperimentReport(
-        name=name,
-        params=params,
-        left=left,
-        right=right,
-        tolerance=tolerance,
-        verdict=classify(left, right, tolerance),
-        notes=notes,
-        seed=seed,
-    )
 
 
 def write_plot_csv(path, header, rows):
@@ -143,22 +133,32 @@ def write_plot_csv(path, header, rows):
             )
 
 
+def _is_number(v):
+    # bool is an int subclass in Python but not a JSON number
+    return isinstance(v, (int, float)) and not isinstance(v, bool)
+
+
 def validate_report_dict(d):
-    """Check a decoded report against the published JSON schema."""
+    """Check a decoded report against docs/experiment_report.schema.json."""
     missing = [k for k in _JSON_KEYS if k not in d]
     if missing:
         raise ValueError(f"report missing keys: {missing}")
+    unexpected = sorted(set(d) - set(_JSON_KEYS))
+    if unexpected:
+        raise ValueError(f"report has unexpected keys: {unexpected}")
     if not isinstance(d["name"], str) or not isinstance(d["params"], dict):
         raise ValueError("name must be a string and params an object")
     for key in ("left", "right", "tolerance"):
-        if not isinstance(d[key], (int, float)):
+        if not _is_number(d[key]):
             raise ValueError(f"{key} must be a number")
-    if d["margin"] is not None and not isinstance(d["margin"], (int, float)):
+    if not d["tolerance"] >= 0:
+        raise ValueError("tolerance must be >= 0")
+    if d["margin"] is not None and not _is_number(d["margin"]):
         raise ValueError("margin must be a number or null")
     if d["verdict"] not in VERDICTS:
         raise ValueError(f"verdict must be one of {VERDICTS}")
     if not isinstance(d["notes"], str) or not isinstance(d["timestamp"], str):
         raise ValueError("notes and timestamp must be strings")
-    if d["seed"] is not None and not isinstance(d["seed"], int):
+    if d["seed"] is not None and (not isinstance(d["seed"], int) or isinstance(d["seed"], bool)):
         raise ValueError("seed must be an integer or null")
     return True

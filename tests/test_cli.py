@@ -99,6 +99,14 @@ class TestRun:
         assert "formats" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    def test_bad_param_value_writes_no_output_dir(self, tmp_path, capsys):
+        # a value the catalog rejects stops the run before any file is written
+        out = tmp_path / "out"
+        args = ["run", "--experiment", "mismatch_singularity", "--set", "a1=0", "--out", str(out)]
+        assert main(args) == 1
+        assert "a_scale" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_divergent_finding_exit_zero(self, tmp_path):
         cfg = write_config(
             tmp_path / "m.ini",

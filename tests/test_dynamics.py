@@ -35,6 +35,14 @@ def quintic_field(d=1):
     )
 
 
+class TestTimeGrid:
+    @pytest.mark.parametrize("t_end", [0.0, -1.0, math.nan, math.inf])
+    def test_nonpositive_or_nonfinite_end_rejected(self, t_end):
+        with pytest.raises(DynamicsError, match="t_end") as exc:
+            time_grid(t_end, 4)
+        assert not isinstance(exc.value, BlowUpError)
+
+
 class TestDiniModulus:
     def test_power_family_valid(self):
         for alpha in (0.25, 0.5, 1.0):

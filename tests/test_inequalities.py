@@ -151,6 +151,17 @@ class TestMismatchSingularity:
         assert rep.verdict == "holds"
         assert rep.left == 0.0 and rep.right == 0.0
 
+    def test_no_true_entropy_is_degenerate(self):
+        # a finite bound with nothing to compare it to is not a "holds"
+        t = 0.5
+        drift = self._case("drift-gap", t)
+        unknown = MismatchCase(drift.field1, drift.field2, drift.law_provider, None, "unknown")
+        for cases in ([unknown], []):
+            rep = mismatch_singularity_experiment(cases, t, n_mc=50, seed=6, n_nodes=16)
+            assert rep.verdict == "degenerate"
+            assert "no pair supplies a true entropy" in rep.notes
+            assert rep.left == 0.0 and rep.right == 0.0
+
 
 class TestPowerIntegral:
     def test_against_quadrature_oracle(self):

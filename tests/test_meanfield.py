@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from entroflow import (
+    BlowUpError,
     DynamicsError,
     EmpiricalMeasure,
     GaussianMeasure,
@@ -142,6 +143,13 @@ class TestFlowMap:
         cloud = EmpiricalMeasure(np.full((50, 1), 3.0))
         with pytest.raises(DynamicsError):
             flow_map(make_mv_field("ou", 1), cloud, 2.0, 50, 0, seed=1)
+
+    def test_nan_time_rejected(self):
+        # a NaN t is bad input, not a cloud that blew up on the way
+        cloud = EmpiricalMeasure(np.zeros((5, 1)))
+        with pytest.raises(DynamicsError, match="t_end") as exc:
+            flow_map(make_mv_field("ou", 1), cloud, math.nan, 5, 4, seed=1)
+        assert not isinstance(exc.value, BlowUpError)
 
     def test_distribution_free_ou_matches_gaussian_oracle(self):
         base = ou_field(1, rate=1.0, a_scale=0.5)

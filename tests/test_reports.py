@@ -4,7 +4,7 @@ import math
 import pytest
 
 from entroflow import ExperimentReport, classify, validate_report_dict
-from entroflow.reports import holds_report, write_plot_csv
+from entroflow.reports import VERDICTS, write_plot_csv
 
 
 class TestClassify:
@@ -22,16 +22,17 @@ class TestClassify:
 
 class TestReport:
     def _rep(self):
-        return holds_report("demo", {"a": 1}, 1.0, 2.0, 0.1, notes="n", seed=3)
+        return ExperimentReport("demo", {"a": 1}, 1.0, 2.0, 0.1, notes="n", seed=3)
 
     def test_margin(self):
         assert self._rep().margin == pytest.approx(1.0)
 
-    def test_verdict_recomputable(self):
-        rep = self._rep()
-        assert rep.recompute_verdict() == rep.verdict
-        degen = ExperimentReport("d", {}, 0.0, 0.0, 0.0, "degenerate")
-        assert degen.recompute_verdict() == "degenerate"
+    def test_verdict_derived_from_values(self):
+        assert self._rep().verdict == "holds"
+        assert ExperimentReport("v", {}, 2.0, 1.0, 0.5).verdict == "violated"
+        assert ExperimentReport("inf", {}, 5.0, math.inf, 0.0).verdict == "holds"
+        # a declared outcome the values cannot show is kept as declared
+        assert ExperimentReport("d", {}, 2.0, 1.0, 0.0, "degenerate").verdict == "degenerate"
 
     def test_inconsistent_verdict_rejected(self):
         with pytest.raises(ValueError):
@@ -40,6 +41,11 @@ class TestReport:
     def test_unknown_verdict_rejected(self):
         with pytest.raises(ValueError):
             ExperimentReport("bad", {}, 0.0, 1.0, 0.0, "maybe")
+
+    @pytest.mark.parametrize("tol", [-1e-12, math.nan])
+    def test_bad_tolerance_rejected(self, tol):
+        with pytest.raises(ValueError, match="tolerance"):
+            ExperimentReport("bad", {}, 0.0, 1.0, tol)
 
     def test_json_roundtrip_and_schema(self):
         rep = self._rep().stamp()
@@ -60,6 +66,16 @@ class TestReport:
         with pytest.raises(ValueError):
             validate_report_dict(d)
 
+    @pytest.mark.parametrize(
+        "key, value",
+        [("extra", 1), ("tolerance", -0.5), ("tolerance", math.nan), ("left", True), ("seed", False)],
+    )
+    def test_schema_rejects_what_the_schema_file_rejects(self, key, value):
+        d = json.loads(self._rep().stamp().to_json())
+        d[key] = value
+        with pytest.raises(ValueError, match=key):
+            validate_report_dict(d)
+
     def test_schema_file_agrees_with_keys(self):
         import os
 
@@ -69,6 +85,9 @@ class TestReport:
         d = json.loads(self._rep().stamp().to_json())
         assert set(schema["required"]) == set(d)
         assert set(schema["properties"]) == set(d)
+        assert tuple(schema["properties"]["verdict"]["enum"]) == VERDICTS
+        assert schema["properties"]["tolerance"]["minimum"] == 0
+        assert schema["additionalProperties"] is False
 
     def test_plot_csv(self, tmp_path):
         path = tmp_path / "plot.csv"

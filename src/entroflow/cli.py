@@ -213,7 +213,9 @@ _LH_PARAMS = {
 def _measure_from(p, tag, d):
     mean = _padded(p[f"{tag}_mean"], d)
     scale = p[f"{tag}_cov_scale"]
-    if scale <= 0:
+    if scale < 0:
+        raise CliError(f"parameter '{tag}_cov_scale': {scale!r} is negative")
+    if scale == 0:
         return EmpiricalMeasure(mean[None, :])
     return GaussianMeasure(mean, scale * np.eye(d))
 

@@ -10,10 +10,11 @@ invariant checks live on the field object because user fields are black
 boxes.
 
 Everything, the interacting particle systems of `meanfield` included, is
-integrated by Euler-Maruyama in one time loop, `_integrate`, with one
-counter-based noise substream per path.  All weak-error checks in the
-package are satisfied by Euler-Maruyama, so no higher-order scheme is
-carried.
+integrated by Euler-Maruyama in one time loop, `_integrate`.  It draws an
+ensemble's noise once, one counter-based substream per path, and returns
+the ensemble as a PathEnsemble, through which every slice of a path, pair
+or particle cloud is read.  All weak-error checks in the package are
+satisfied by Euler-Maruyama, so no higher-order scheme is carried.
 
 Blow-up policy: a path whose state turns non-finite is listed in
 `PathEnsemble.aborted` and is NaN from that node on; the other paths
@@ -326,11 +327,6 @@ def refine_grid(times, t_insert):
     return np.sort(np.append(times, t_insert))
 
 
-def _increments(times, normals):
-    dt = np.diff(times)
-    return normals * np.sqrt(dt)[None, :, None]
-
-
 def _step(x, t, h, drift_fn, sigma_fn, dw):
     """Euler-Maruyama step: x + b(t,x) h + sigma(t,x) dW."""
     b = drift_fn(t, x)
@@ -338,16 +334,20 @@ def _step(x, t, h, drift_fn, sigma_fn, dw):
     return x + b * h + np.einsum("nij,nj->ni", sig, dw)
 
 
-def _integrate(x0_rows, times, advance, increments, interacting=False):
+def _integrate(x0_rows, times, advance, seed, stream, dim, interacting=False):
     """The package's one Euler time loop, under the module's blow-up policy.
 
-    advance(t, h, x, dw) returns the (n_rows, width) state at t + h as a new
-    array, given the state x at t and the rows' Brownian increments dw over
-    the step.  An interacting ensemble halts at its first blow-up; otherwise
-    only the rows that blew up stop.  Returns the (n_rows, n_nodes, width)
-    paths and the sorted tuple of aborted rows.
+    Draws the rows' Brownian increments, row i from the substream keyed
+    (seed, stream, i) with dim coordinates per step, scales them in place by
+    sqrt(h), and steps: advance(t, h, x, dw) returns the (n_rows, width)
+    state at t + h as a new array, given the state x at t and the rows'
+    increments dw over the step.  An interacting ensemble halts at its first
+    blow-up; otherwise only the rows that blew up stop.  Returns the
+    PathEnsemble of the (n_rows, n_nodes, width) paths.
     """
     n_rows, width = x0_rows.shape
+    increments = path_normals(seed, n_rows, times.size - 1, dim, stream)
+    increments *= np.sqrt(np.diff(times))[None, :, None]
     paths = np.empty((n_rows, times.size, width))
     paths[:, 0, :] = x0_rows
     x = x0_rows
@@ -367,7 +367,7 @@ def _integrate(x0_rows, times, advance, increments, interacting=False):
                 alive &= ~bad
             x_new[~alive] = np.nan
         paths[:, k + 1, :] = x = x_new
-    return paths, tuple(sorted(aborted))
+    return PathEnsemble(times=times, paths=paths, aborted=tuple(sorted(aborted)))
 
 
 def _start_rows(x0, dim, n_rows):
@@ -376,14 +376,6 @@ def _start_rows(x0, dim, n_rows):
     if x0.size != dim:
         raise DynamicsError(f"start point has {x0.size} coordinates, the field has {dim}")
     return np.tile(x0, (n_rows, 1))
-
-
-def _ensemble(x0, dim, times, seed, n_paths, advance):
-    """Independent-noise ensemble of n_paths paths from the point x0."""
-    x0_rows = _start_rows(x0, dim, n_paths)
-    incs = _increments(times, path_normals(seed, n_paths, times.size - 1, dim))
-    paths, aborted = _integrate(x0_rows, times, advance, incs)
-    return PathEnsemble(times=times, paths=paths, aborted=aborted)
 
 
 def euler_maruyama(field, x0, times, seed, n_paths=1):
@@ -397,7 +389,8 @@ def euler_maruyama(field, x0, times, seed, n_paths=1):
     def advance(t, h, x, dw):
         return _step(x, t, h, field.drift, field.sigma, dw)
 
-    return _ensemble(x0, field.dim, np.asarray(times, dtype=float), seed, n_paths, advance)
+    times = np.asarray(times, dtype=float)
+    return _integrate(_start_rows(x0, field.dim, n_paths), times, advance, seed, 0, field.dim)
 
 
 def synchronous_pair(field1, field2, x1, x2, times, seed, n_pairs=1):
@@ -425,11 +418,10 @@ def synchronous_pair(field1, field2, x1, x2, times, seed, n_pairs=1):
         x_new = x + b1 * h + np.einsum("nij,nj->ni", sig1, dw)
         return np.hstack([x_new, diff + db * h + np.einsum("nij,nj->ni", dsig, dw)])
 
-    incs = _increments(times, path_normals(seed, n_pairs, times.size - 1, d))
-    paths, aborted = _integrate(state0, times, advance, incs)
-    x, diff = paths[:, :, :d].copy(), paths[:, :, d:].copy()
-    ens1 = PathEnsemble(times=times, paths=x, aborted=aborted)
-    ens2 = PathEnsemble(times=times, paths=x - diff, aborted=aborted)
+    stacked = _integrate(state0, times, advance, seed, 0, d)
+    x, diff = stacked.paths[:, :, :d].copy(), stacked.paths[:, :, d:].copy()
+    ens1 = PathEnsemble(times=times, paths=x, aborted=stacked.aborted)
+    ens2 = PathEnsemble(times=times, paths=x - diff, aborted=stacked.aborted)
     with np.errstate(over="ignore"):
         separation = np.linalg.norm(diff, axis=2)
         # the norm squares D: a finite D whose square overflowed is measured again scaled to unit size
@@ -456,7 +448,7 @@ def bridge_path(spec, x1, times, seed, n_paths=1):
         field = spec.field1 if t < spec.t0 else spec.field2
         return _step(x, t, h, field.drift, field.sigma, dw)
 
-    return _ensemble(x1, spec.field1.dim, times, seed, n_paths, advance)
+    return _integrate(_start_rows(x1, spec.field1.dim, n_paths), times, advance, seed, 0, spec.field1.dim)
 
 
 # --------------------------------------------------------------------------

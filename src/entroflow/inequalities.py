@@ -199,7 +199,7 @@ def mismatch_singularity_experiment(cases, t, n_mc=500, seed=0, n_nodes=200):
         elif case.true_entropy is not None:
             gap = case.true_entropy - res.value
             if binding is None or gap > binding[0]:
-                binding = (gap, case.true_entropy, res.value)
+                binding = (gap, case.true_entropy, res.value, rows[-1]["label"])
     params = {"t": t, "n_mc": n_mc, "cases": rows}
     tol = 1e-9
     if binding is None:
@@ -214,7 +214,7 @@ def mismatch_singularity_experiment(cases, t, n_mc=500, seed=0, n_nodes=200):
         verdict, notes = "degenerate", "no pair supplies a true entropy: nothing to compare"
     else:
         verdict, notes = None, "finite bound dominates the true entropy for every pair"
-    return ExperimentReport(
+    report = ExperimentReport(
         name="mismatch_singularity",
         params=params,
         left=left,
@@ -224,6 +224,9 @@ def mismatch_singularity_experiment(cases, t, n_mc=500, seed=0, n_nodes=200):
         notes=notes,
         seed=seed,
     )
+    if report.verdict == "violated":
+        report.notes = f"true entropy of {binding[3]} exceeds its finite bound"
+    return report
 
 
 # --------------------------------------------------------------------------
@@ -326,15 +329,11 @@ def bridge_epsilon_sweep(spec1, spec2, x1, t1, p=2.0, eps_values=(1 / 16, 1 / 8,
 
 @dataclass(frozen=True)
 class PositiveTestFunction:
-    """Strictly positive test function with a declared positive floor."""
+    """Strictly positive test function; log_harnack_experiment probes its
+    positivity on the quadrature range."""
 
     fn: Callable
     label: str
-    lower_bound: float = 0.0
-
-    def __post_init__(self):
-        if self.lower_bound < 0:
-            raise ExperimentError(f"{self.label}: test function not uniformly positive")
 
     def __call__(self, x):
         return self.fn(x)
@@ -358,8 +357,8 @@ def default_test_functions(dim):
 
     return [
         PositiveTestFunction(exp_linear, "exp_linear"),
-        PositiveTestFunction(exp_quadratic, "exp_quadratic", lower_bound=0.05),
-        PositiveTestFunction(smooth_indicator, "smooth_indicator", lower_bound=0.05),
+        PositiveTestFunction(exp_quadratic, "exp_quadratic"),
+        PositiveTestFunction(smooth_indicator, "smooth_indicator"),
     ]
 
 

@@ -11,7 +11,10 @@ Clouds are stepped by the Euler loop of `dynamics` under its blow-up policy
 for interacting ensembles: the first particle that turns non-finite halts
 the cloud, because it corrupts the empirical measure every particle sees.
 `evolve_particles` lists it in `PathEnsemble.aborted`;
-`w2_stability_experiment` raises DynamicsError.
+`w2_stability_experiment` raises BlowUpError.  That loop draws a cloud's
+noise once and returns the cloud as a PathEnsemble, and
+`w2_stability_experiment` reads its clouds at grid times through that
+ensemble's slices.
 """
 
 from dataclasses import dataclass
@@ -19,10 +22,9 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from ._rng import INIT, path_normals, substream
+from ._rng import INIT, substream
 from .dynamics import (
-    LIP_TOL, DynamicsError, PathEnsemble, _batch_spd_sqrt, _central_div, _increments, _integrate, _step,
-    refine_grid, time_grid,
+    LIP_TOL, BlowUpError, DynamicsError, _batch_spd_sqrt, _central_div, _integrate, _step, refine_grid, time_grid,
 )
 from .measures import EmpiricalMeasure, GaussianMeasure, _gaussian_points
 from .reports import ExperimentReport
@@ -124,8 +126,8 @@ def _initial_cloud(init, n, seed, stream):
     raise DynamicsError("init must be a GaussianMeasure or EmpiricalMeasure")
 
 
-def _particle_paths(field, x0, times, seed, stream):
-    """Paths and aborted particles of the cloud started at the rows of x0.
+def _evolve_cloud(field, x0, times, seed, stream):
+    """PathEnsemble of the cloud started at the rows of x0.
 
     Each step hands the coefficients the uniform empirical measure of the
     current cloud; the particle in row i draws the noise substream keyed
@@ -138,8 +140,7 @@ def _particle_paths(field, x0, times, seed, stream):
         mu = EmpiricalMeasure(x)
         return _step(x, t, h, lambda s, y: field.drift(s, y, mu), lambda s, y: field.sigma(s, y, mu), dw)
 
-    incs = _increments(times, path_normals(seed, x0.shape[0], times.size - 1, field.dim, stream))
-    return _integrate(x0, times, advance, incs, interacting=True)
+    return _integrate(x0, times, advance, seed, stream, field.dim, interacting=True)
 
 
 def evolve_particles(field, init, n_particles, times, seed, stream=0):
@@ -155,8 +156,7 @@ def evolve_particles(field, init, n_particles, times, seed, stream=0):
         raise DynamicsError("need at least one particle")
     times = np.asarray(times, dtype=float)
     x = _initial_cloud(init, n_particles, seed, stream)
-    paths, aborted = _particle_paths(field, x, times, seed, stream)
-    return PathEnsemble(times=times, paths=paths, aborted=aborted)
+    return _evolve_cloud(field, x, times, seed, stream)
 
 
 def flow_map(field, mu0, t, n_particles, n_steps, seed):
@@ -197,11 +197,11 @@ def _coupled_initial_clouds(nu1, nu2, n, seed):
     return nu1.points[ii].copy(), nu2.points[jj].copy()
 
 
-def _w2_cloud_ratio(p1, p2, idx):
-    """W2 between two clouds at a time slice, with a standard error over 8 batches."""
+def _w2_cloud_ratio(c1, c2):
+    """W2 between two equal-size uniform clouds, with a standard error over 8 batches."""
     n_batches = 8
-    a, b = p1[:, idx, :], p2[:, idx, :]
-    full = w2_exact(EmpiricalMeasure(a), EmpiricalMeasure(b))
+    a, b = c1.points, c2.points
+    full = w2_exact(c1, c2)
     n = a.shape[0]
     if n < 2 * n_batches:
         return full, 0.0
@@ -220,7 +220,7 @@ def w2_stability_experiment(field, nu1, nu2, t_grid, n_particles, n_steps, seed,
     reference bound the verdict is "holds" and the measured constant is
     recorded (rate-only check); a supplied bound is compared at 3 batch
     standard errors.  A particle blow-up in either cloud raises
-    DynamicsError.
+    BlowUpError.
     """
     t_grid = np.asarray(t_grid, dtype=float)
     w0 = w2_exact(nu1, nu2)
@@ -231,14 +231,13 @@ def w2_stability_experiment(field, nu1, nu2, t_grid, n_particles, n_steps, seed,
     else:
         x1, x2 = _coupled_initial_clouds(nu1, nu2, n_particles, seed)
         times = _particle_times(t_grid, n_steps)
-        p1, aborted1 = _particle_paths(field, x1, times, seed, stream=0)
-        p2, aborted2 = _particle_paths(field, x2, times, seed, stream=0)
-        if aborted1 or aborted2:
-            raise DynamicsError("particle blow-up during stability experiment")
+        ens1 = _evolve_cloud(field, x1, times, seed, stream=0)
+        ens2 = _evolve_cloud(field, x2, times, seed, stream=0)
+        if ens1.aborted or ens2.aborted:
+            raise BlowUpError("particle blow-up during stability experiment")
         ratios, ses, rows = [], [], []
         for t in t_grid:
-            idx = int(np.argmin(np.abs(times - t)))
-            w, se = _w2_cloud_ratio(p1, p2, idx)
+            w, se = _w2_cloud_ratio(ens1.slice_measure(t), ens2.slice_measure(t))
             ratios.append(w / w0)
             ses.append(se / w0)
             rows.append((float(t), w, w0))

@@ -75,6 +75,9 @@ class TestRun:
             ("log_harnack", "k_curv=nan", "'k_curv'"),
             ("entropy_cost", "bound_factor=nan", "'bound_factor'"),
             ("talagrand", "mean=1,nan", "'mean'"),
+            # a negative covariance scale is not a point mass
+            ("meanfield_entropy_cost", "nu1_cov_scale=-1", "'nu1_cov_scale'"),
+            ("meanfield_entropy_cost", "nu2_cov_scale=-0.5", "'nu2_cov_scale'"),
         ]
         for experiment, setting, named in cases:
             capsys.readouterr()

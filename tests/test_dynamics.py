@@ -18,7 +18,6 @@ from entroflow import (
 )
 from entroflow._rng import path_normals
 from entroflow.catalog import constant_drift_field, dini_power_drift_field, heat_field, ou_field
-from entroflow.dynamics import _increments
 
 from _refs import coupled_ou_second_moment, ou_law_1d, synchronous_pair_loop
 
@@ -220,7 +219,7 @@ class TestSynchronousPair:
         x1, x2 = np.array([0.3, -0.2]), np.array([1.1, 0.4])
         grid = time_grid(1.0, 64)
         pair = synchronous_pair(f1, f2, x1, x2, grid, seed=21, n_pairs=16)
-        incs = _increments(grid, path_normals(21, 16, 64, 2))
+        incs = path_normals(21, 16, 64, 2) * np.sqrt(np.diff(grid))[None, :, None]
         p1, p2, sep = synchronous_pair_loop(f1, f2, x1, x2, grid, incs)
         assert np.array_equal(pair.first.paths, p1)
         assert np.array_equal(pair.second.paths, p2)

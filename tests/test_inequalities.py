@@ -151,6 +151,20 @@ class TestMismatchSingularity:
         assert rep.verdict == "holds"
         assert rep.left == 0.0 and rep.right == 0.0
 
+    def test_violated_note_names_binding_pair(self):
+        # a supplied true entropy above the finite bound t/2 is violated, and
+        # the note says so instead of claiming the bound dominates
+        t = 0.5
+        drift = self._case("drift-gap", t)
+        inflated = MismatchCase(drift.field1, drift.field2, drift.law_provider, 10.0, "inflated")
+        rep = mismatch_singularity_experiment([drift, inflated], t, n_mc=200, seed=1, n_nodes=16)
+        assert rep.verdict == "violated"
+        assert rep.left == 10.0 and rep.right == pytest.approx(t / 2.0, rel=1e-6)
+        assert rep.notes == "true entropy of inflated exceeds its finite bound"
+        rep = mismatch_singularity_experiment([drift], t, n_mc=200, seed=1, n_nodes=16)
+        assert rep.verdict == "holds"
+        assert rep.notes == "finite bound dominates the true entropy for every pair"
+
     def test_no_true_entropy_is_degenerate(self):
         # a finite bound with nothing to compare it to is not a "holds"
         t = 0.5
@@ -256,7 +270,7 @@ class TestLogHarnack:
             assert log_harnack_coefficient(k, t) == pytest.approx(1 / (4 * t), rel=1e-6)
 
     def test_constant_function_trivial(self):
-        fam = [PositiveTestFunction(lambda x: np.full(x.shape[:-1], 2.0), "const", 2.0)]
+        fam = [PositiveTestFunction(lambda x: np.full(x.shape[:-1], 2.0), "const")]
         rep = log_harnack_experiment(0.0, 0.5, [0.0], [1.0], fam)
         assert rep.left == pytest.approx(math.log(2.0), abs=1e-9)
         assert rep.right == pytest.approx(math.log(2.0) + 1 / 2.0, abs=1e-9)

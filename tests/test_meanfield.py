@@ -18,7 +18,7 @@ from entroflow import (
     w2_stability_experiment,
 )
 from entroflow.catalog import make_mv_field, mean_field_ou, ou_field
-from entroflow.dynamics import _increments, _step
+from entroflow.dynamics import _step
 from entroflow._rng import path_normals
 from entroflow.meanfield import _initial_cloud
 
@@ -90,7 +90,7 @@ class TestEvolveParticles:
         n, steps = 32, 16
         times = time_grid(0.25, steps)
         x0 = rng.standard_normal((n, 1))
-        incs = _increments(times, path_normals(99, n, steps, 1))
+        incs = path_normals(99, n, steps, 1) * np.sqrt(np.diff(times))[None, :, None]
         perm = rng.permutation(n)
 
         def run(x_init, noise):
@@ -123,7 +123,7 @@ class TestEvolveParticles:
         grid = time_grid(0.5, 40)
         ens = evolve_particles(field, init, 64, grid, seed=22, stream=3)
         x0 = _initial_cloud(init, 64, 22, 3)
-        incs = _increments(grid, path_normals(22, 64, 40, 2, 3))
+        incs = path_normals(22, 64, 40, 2, 3) * np.sqrt(np.diff(grid))[None, :, None]
         assert np.array_equal(ens.paths, particle_loop(field, x0, grid, incs))
 
     def test_initial_dimension_checked(self):
@@ -179,6 +179,12 @@ class TestStability:
     def test_blowup_raises(self):
         nu1, nu2 = EmpiricalMeasure([[4.0]]), EmpiricalMeasure([[4.5]])
         with pytest.raises(DynamicsError, match="blow-up"):
+            w2_stability_experiment(septic_field(), nu1, nu2, [0.5, 4.0], 8, 6, seed=19)
+
+    def test_blowup_is_blowup_error(self):
+        # the same outcome type as a slice of an aborted ensemble
+        nu1, nu2 = EmpiricalMeasure([[4.0]]), EmpiricalMeasure([[4.5]])
+        with pytest.raises(BlowUpError, match="particle blow-up during stability experiment"):
             w2_stability_experiment(septic_field(), nu1, nu2, [0.5, 4.0], 8, 6, seed=19)
 
     def test_mixed_gaussian_empirical_pair_rejected(self):

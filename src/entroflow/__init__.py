@@ -9,9 +9,7 @@ from .measures import (
     EmpiricalMeasure,
     GaussianMeasure,
     MeasureError,
-    empirical_from_points,
     gaussian_sample,
-    second_moment,
 )
 from .transport import (
     CouplingPlan,

@@ -11,8 +11,8 @@ the CLI selects dynamics from this catalog by name with numeric parameters:
 
 The linear entries share one description, dX = (c - rate*X) dt + sqrt(2a) dW,
 that gives both the simulation view (CoefficientField) and the closed-form
-view (LinearSDESpec); the other two reuse its constant diffusion.  FIELD_NAMES
-also names "diffusion-gap", the heat pair a1*I vs a2*I of mismatch_singularity.
+view (LinearSDESpec); the other two reuse its constant diffusion.  The
+"diffusion-gap" of mismatch_singularity is the heat pair a1*I vs a2*I.
 """
 
 import math
@@ -33,15 +33,12 @@ __all__ = [
     "constant_drift_spec",
     "mean_field_ou",
     "dini_power_drift_field",
-    "FIELD_NAMES",
     "LINEAR_NAMES",
     "INTERACTING_NAMES",
     "make_field",
     "make_linear_spec",
     "make_mv_field",
 ]
-
-FIELD_NAMES = ("heat", "ou", "drift-gap", "diffusion-gap", "mean-field-ou", "dini-power-drift")
 
 #: catalog defaults by builder keyword; the builder signatures read them here
 _HEAT = {"a_scale": 1.0}

@@ -7,9 +7,9 @@ so two runs of one config differ only in the timestamp) plus plot-ready CSV.
 
 Exit codes: 0 when every verdict is holds/degenerate/divergent (divergence
 can be the expected finding), 2 when any verdict is "violated", 1 on
-operational errors and bad input: an unknown [run] key, a format other than
-json and csv, or a parameter that does not parse, is out of range or is not
-finite.
+operational errors and bad input: a config file that does not parse, an
+unknown [run] key, a format other than json and csv, or a parameter that
+does not parse, is out of range or is not finite.
 """
 
 import argparse
@@ -282,7 +282,10 @@ def _typed(schema, key, raw):
 
 def load_config(path):
     cfg = configparser.ConfigParser()
-    read = cfg.read(path)
+    try:
+        read = cfg.read(path)
+    except configparser.Error as exc:
+        raise CliError(f"malformed config file {path}: {exc}") from exc
     if not read:
         raise CliError(f"cannot read config file {path}")
     run = dict(cfg["run"]) if cfg.has_section("run") else {}

@@ -24,7 +24,6 @@ measure every particle sees.  Slices of an ensemble with aborted paths raise
 BlowUpError.
 """
 
-import csv
 import math
 from dataclasses import dataclass
 from typing import Callable, Optional
@@ -279,15 +278,6 @@ class PathEnsemble:
             raise BlowUpError(f"paths {self.aborted} blew up; no slice at t={t}")
         return EmpiricalMeasure(self.paths[:, idx, :])
 
-    def to_csv(self, path):
-        """Rows (path_id, t, x_1, ..., x_d)."""
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["path", "t"] + [f"x{i + 1}" for i in range(self.dim)])
-            for p in range(self.n_paths):
-                for t, x in zip(self.times, self.paths[p]):
-                    writer.writerow([p, repr(float(t))] + [repr(float(v)) for v in x])
-
 
 @dataclass
 class CoupledPair:
@@ -324,7 +314,8 @@ def refine_grid(times, t_insert):
         out = times.copy()
         out[nearest] = t_insert
         return out
-    return np.sort(np.append(times, t_insert))
+    # inserted, not sorted in: a grid out of order stays so, for _integrate to reject
+    return np.insert(times, np.searchsorted(times, t_insert), t_insert)
 
 
 def _step(x, t, h, drift_fn, sigma_fn, dw):
@@ -343,8 +334,11 @@ def _integrate(x0_rows, times, advance, seed, stream, dim, interacting=False):
     state at t + h as a new array, given the state x at t and the rows'
     increments dw over the step.  An interacting ensemble halts at its first
     blow-up; otherwise only the rows that blew up stop.  Returns the
-    PathEnsemble of the (n_rows, n_nodes, width) paths.
+    PathEnsemble of the (n_rows, n_nodes, width) paths.  The grid must be
+    1-D, finite and nondecreasing.
     """
+    if times.ndim != 1 or times.size == 0 or not np.isfinite(times).all() or (np.diff(times) < 0).any():
+        raise DynamicsError("need a nonempty 1-D time grid of finite, nondecreasing nodes")
     n_rows, width = x0_rows.shape
     increments = path_normals(seed, n_rows, times.size - 1, dim, stream)
     increments *= np.sqrt(np.diff(times))[None, :, None]
@@ -371,7 +365,9 @@ def _integrate(x0_rows, times, advance, seed, stream, dim, interacting=False):
 
 
 def _start_rows(x0, dim, n_rows):
-    """The start point x0 on each of n_rows rows; it must have dim coordinates."""
+    """The start point x0 on each of n_rows >= 1 rows; it must have dim coordinates."""
+    if n_rows < 1:
+        raise DynamicsError(f"need at least one path, got {n_rows}")
     x0 = np.asarray(x0, dtype=float).reshape(-1)
     if x0.size != dim:
         raise DynamicsError(f"start point has {x0.size} coordinates, the field has {dim}")
@@ -400,7 +396,8 @@ def synchronous_pair(field1, field2, x1, x2, times, seed, n_pairs=1):
     stepped exactly like euler_maruyama (bit-identical under the same seed);
     D is stepped by the Euler update of the difference equation and the
     second component recomposed as X1 - D.  Marginals of both components
-    follow their single-SDE laws.
+    follow their single-SDE laws.  The two ensembles' paths are the two
+    halves of the stacked state's buffer, so neither is contiguous.
     """
     if field1.dim != field2.dim:
         raise DynamicsError("field dimensions differ")
@@ -419,9 +416,7 @@ def synchronous_pair(field1, field2, x1, x2, times, seed, n_pairs=1):
         return np.hstack([x_new, diff + db * h + np.einsum("nij,nj->ni", dsig, dw)])
 
     stacked = _integrate(state0, times, advance, seed, 0, d)
-    x, diff = stacked.paths[:, :, :d].copy(), stacked.paths[:, :, d:].copy()
-    ens1 = PathEnsemble(times=times, paths=x, aborted=stacked.aborted)
-    ens2 = PathEnsemble(times=times, paths=x - diff, aborted=stacked.aborted)
+    x, diff = stacked.paths[:, :, :d], stacked.paths[:, :, d:]
     with np.errstate(over="ignore"):
         separation = np.linalg.norm(diff, axis=2)
         # the norm squares D: a finite D whose square overflowed is measured again scaled to unit size
@@ -430,6 +425,10 @@ def synchronous_pair(field1, field2, x1, x2, times, seed, n_pairs=1):
             over &= np.isfinite(diff).all(axis=2)
             scale = np.max(np.abs(diff[over]), axis=1)
             separation[over] = scale * np.linalg.norm(diff[over] / scale[:, None], axis=1)
+    # the second component X1 - D takes the place of D in the stacked buffer
+    np.subtract(x, diff, out=diff)
+    ens1 = PathEnsemble(times=times, paths=x, aborted=stacked.aborted)
+    ens2 = PathEnsemble(times=times, paths=diff, aborted=stacked.aborted)
     return CoupledPair(first=ens1, second=ens2, separation=separation)
 
 

@@ -2,11 +2,9 @@
 
 These two representations are the common currency of the package: transport
 distances, divergences and particle systems all consume and produce them.
-Both are immutable value objects and safe to share across threads.
+Both are immutable value objects, safe to share across threads, with no
+file form: reports are the package's only output format.
 """
-
-import csv
-import json
 
 import numpy as np
 
@@ -30,7 +28,12 @@ class EmpiricalMeasure:
     __slots__ = ("points", "weights")
 
     def __init__(self, points, weights=None):
-        pts = np.asarray(points, dtype=float)
+        try:
+            pts = np.asarray(points, dtype=float)
+        except ValueError:
+            if len({np.shape(np.atleast_1d(p)) for p in points}) > 1:
+                raise MeasureError("points have inconsistent dimensions") from None
+            raise
         if pts.ndim == 1:
             pts = pts[:, None]
         if pts.ndim != 2 or pts.shape[0] == 0 or pts.shape[1] == 0:
@@ -79,51 +82,6 @@ class EmpiricalMeasure:
     def cov(self):
         c = self.points - self.mean()
         return (c * self.weights[:, None]).T @ c
-
-    # ---- serialization -------------------------------------------------
-
-    def to_csv(self, path):
-        """One point per row; trailing weight column unless uniform."""
-        include_weights = not self.is_uniform()
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            for x, w in zip(self.points, self.weights):
-                row = [repr(float(v)) for v in x]
-                if include_weights:
-                    row.append(repr(float(w)))
-                writer.writerow(row)
-
-    @classmethod
-    def from_csv(cls, path, has_weights=False):
-        pts, wts = [], []
-        with open(path, newline="") as fh:
-            for row in csv.reader(fh):
-                if not row:
-                    continue
-                vals = [float(v) for v in row]
-                if has_weights:
-                    pts.append(vals[:-1])
-                    wts.append(vals[-1])
-                else:
-                    pts.append(vals)
-        return cls(pts, wts if has_weights else None)
-
-    def to_json_dict(self):
-        return {
-            "dim": self.dim,
-            "points": self.points.tolist(),
-            "weights": self.weights.tolist(),
-        }
-
-    @classmethod
-    def from_json_dict(cls, d):
-        m = cls(d["points"], d["weights"])
-        if m.dim != d["dim"]:
-            raise MeasureError("dim field does not match the point data")
-        return m
-
-    def to_json(self):
-        return json.dumps(self.to_json_dict())
 
     def __repr__(self):
         return f"EmpiricalMeasure(n={self.n_points}, d={self.dim})"
@@ -177,17 +135,6 @@ class GaussianMeasure:
         return f"GaussianMeasure(d={self.dim})"
 
 
-def empirical_from_points(points, weights=None):
-    """Validated, weight-normalized empirical measure from raw point data."""
-    arr = points
-    if not isinstance(points, np.ndarray):
-        lens = {np.shape(np.atleast_1d(p)) for p in points}
-        if len(lens) > 1:
-            raise MeasureError("points have inconsistent dimensions")
-        arr = np.asarray(points, dtype=float)
-    return EmpiricalMeasure(arr, weights)
-
-
 def gaussian_sample(g, n, seed):
     """n i.i.d. draws from g as a uniform empirical measure.
 
@@ -206,10 +153,3 @@ def _gaussian_points(g, n, rng):
     normal from the generator rng and L the Cholesky factor of the covariance."""
     z = rng.standard_normal((int(n), g.dim))
     return g.mean + z @ g.cholesky().T
-
-
-def second_moment(m):
-    """integral |x|^2 dm for either measure representation."""
-    if isinstance(m, (EmpiricalMeasure, GaussianMeasure)):
-        return m.second_moment()
-    raise MeasureError(f"not a measure: {type(m).__name__}")

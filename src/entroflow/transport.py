@@ -20,8 +20,6 @@ AISTATS 2019) with the same stop rule, where plain alternating updates can
 stall.  A non-finite marginal error stops the solve at once.
 """
 
-import json
-
 import numpy as np
 from scipy.optimize import linear_sum_assignment, linprog
 import scipy.sparse as sp
@@ -52,7 +50,7 @@ class CouplingPlan:
 
     Entropic plans also carry the iteration count of their Sinkhorn solve
     and the measured marginal error of the returned matrix; exact plans
-    leave both None.  Neither is part of the JSON form.
+    leave both None.
     """
 
     __slots__ = ("mu", "nu", "matrix", "cost", "debiased_cost", "iterations", "marginal_error")
@@ -85,20 +83,6 @@ class CouplingPlan:
         if abs(ref - self.cost) > 1e-9 * max(1.0, abs(ref)):
             raise TransportError("stored cost disagrees with the plan")
         return self
-
-    def to_json_dict(self):
-        ii, jj = np.nonzero(self.matrix > 0.0)
-        return {
-            "cost": self.cost,
-            "rows": int(self.matrix.shape[0]),
-            "cols": int(self.matrix.shape[1]),
-            "triplets": [
-                (int(i), int(j), float(self.matrix[i, j])) for i, j in zip(ii, jj)
-            ],
-        }
-
-    def to_json(self):
-        return json.dumps(self.to_json_dict())
 
 
 def _cost_matrix(mu, nu):

@@ -5,7 +5,6 @@ import pytest
 
 from entroflow import euler_maruyama, time_grid
 from entroflow.catalog import (
-    FIELD_NAMES,
     dini_power_drift_field,
     make_field,
     make_linear_spec,
@@ -46,16 +45,6 @@ class TestCatalog:
             assert offered and name not in offered
             for other in offered:
                 lookup(other)
-
-    def test_names_catalog_complete(self):
-        assert set(FIELD_NAMES) == {
-            "heat",
-            "ou",
-            "drift-gap",
-            "diffusion-gap",
-            "mean-field-ou",
-            "dini-power-drift",
-        }
 
     def test_dini_field_validates_and_integrates(self):
         f = dini_power_drift_field(1, alpha=0.5, gamma=0.5)

@@ -48,6 +48,18 @@ class TestRun:
     def test_missing_config_exit_one(self, capsys):
         assert main(["run", "/nonexistent/config.ini"]) == 1
 
+    @pytest.mark.parametrize(
+        "text",
+        ["[run]\nexperiment = talagrand\n[run]\nseed = 1\n", "[run]\nexperiment talagrand\n", "experiment = talagrand\n"],
+        ids=["duplicate-section", "no-equals", "no-section-header"],
+    )
+    def test_malformed_config_exit_one(self, tmp_path, capsys, text):
+        cfg = tmp_path / "bad.ini"
+        cfg.write_text(text)
+        assert main(["run", str(cfg)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and str(cfg) in err
+
     def test_unknown_flag_exit_one(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["run", "--bogus"])

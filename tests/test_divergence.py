@@ -6,6 +6,7 @@ import pytest
 from entroflow import (
     DiscreteDistribution,
     DivergenceError,
+    EmpiricalMeasure,
     GaussianMeasure,
     gaussian_sample,
     interpolation_bound_check,
@@ -116,10 +117,8 @@ class TestKlKnn:
             kl_knn(a, b, k=6)
 
     def test_nonuniform_weights_rejected(self):
-        from entroflow import empirical_from_points
-
-        m = empirical_from_points([[0.0], [1.0]], weights=[0.2, 0.8])
-        u = empirical_from_points([[0.0], [1.0], [2.0], [3.0], [4.0], [5.0], [6.0]])
+        m = EmpiricalMeasure([[0.0], [1.0]], weights=[0.2, 0.8])
+        u = EmpiricalMeasure([[0.0], [1.0], [2.0], [3.0], [4.0], [5.0], [6.0]])
         with pytest.raises(DivergenceError):
             kl_knn(m, u, k=1)
 

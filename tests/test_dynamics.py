@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -20,6 +21,9 @@ from entroflow._rng import path_normals
 from entroflow.catalog import constant_drift_field, dini_power_drift_field, heat_field, ou_field
 
 from _refs import coupled_ou_second_moment, ou_law_1d, synchronous_pair_loop
+
+#: grids the Euler loop refuses: a step backwards, a NaN node, two dimensions
+BAD_GRIDS = ([0.0, 0.5, 0.2, 1.0], [0.0, math.nan, 1.0], [[0.0, 0.5], [0.5, 1.0]])
 
 
 def quintic_field(d=1):
@@ -155,13 +159,18 @@ class TestEulerMaruyama:
         slope = np.polyfit(np.log(hs), np.log(errs), 1)[0]
         assert 0.7 <= slope <= 1.3
 
-    def test_csv_export(self, tmp_path):
-        ens = euler_maruyama(heat_field(2), [0.0, 0.0], time_grid(0.1, 4), seed=0, n_paths=2)
-        path = tmp_path / "paths.csv"
-        ens.to_csv(path)
-        lines = path.read_text().strip().splitlines()
-        assert lines[0] == "path,t,x1,x2"
-        assert len(lines) == 1 + 2 * 5
+    @pytest.mark.parametrize("grid", BAD_GRIDS)
+    def test_bad_grid_rejected(self, grid):
+        # unchecked, a backward or NaN step has no real square root and every
+        # path is reported as blown up
+        with pytest.raises(DynamicsError, match="time grid") as exc:
+            euler_maruyama(heat_field(1), [0.0], grid, seed=0, n_paths=3)
+        assert not isinstance(exc.value, BlowUpError)
+
+    @pytest.mark.parametrize("n_paths", [0, -1])
+    def test_fewer_than_one_path_rejected(self, n_paths):
+        with pytest.raises(DynamicsError, match="at least one path"):
+            euler_maruyama(heat_field(1), [0.0], time_grid(1.0, 4), seed=0, n_paths=n_paths)
 
 
 class TestSynchronousPair:
@@ -249,6 +258,31 @@ class TestSynchronousPair:
             with pytest.raises(DynamicsError, match="start point"):
                 synchronous_pair(heat_field(2), heat_field(2), x1, x2, grid, seed=0, n_pairs=2)
 
+    @pytest.mark.parametrize("grid", BAD_GRIDS)
+    def test_bad_grid_rejected(self, grid):
+        with pytest.raises(DynamicsError, match="time grid"):
+            synchronous_pair(heat_field(1), ou_field(1), [0.0], [1.0], grid, seed=0, n_pairs=3)
+
+    @pytest.mark.parametrize("n_pairs", [0, -1])
+    def test_fewer_than_one_pair_rejected(self, n_pairs):
+        with pytest.raises(DynamicsError, match="at least one path"):
+            synchronous_pair(heat_field(1), ou_field(1), [0.0], [1.0], time_grid(1.0, 4), seed=0, n_pairs=n_pairs)
+
+    def test_peak_memory_at_most_five_ensembles(self):
+        # the components are written into the two halves of the stacked
+        # [X1, D] buffer: about four path-sized arrays are alive at the peak,
+        # seven when both halves were copied out and X1 - D formed beside them
+        f = heat_field(2)
+        grid = time_grid(1.0, 256)
+        synchronous_pair(f, f, [0.0, 0.0], [1.0, 0.0], grid, seed=1, n_pairs=2)
+        tracemalloc.start()
+        try:
+            pair = synchronous_pair(f, f, [0.0, 0.0], [1.0, 0.0], grid, seed=1, n_pairs=2000)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 5 * pair.first.paths.nbytes
+
 
 class TestBridgePath:
     def test_degenerate_switch_is_field1(self):
@@ -290,6 +324,18 @@ class TestBridgePath:
         spec = BridgeSpec(ou_field(1), heat_field(1), t1=0.5)
         with pytest.raises(DynamicsError, match="start point"):
             bridge_path(spec, [0.3, 0.9], time_grid(0.5, 8), seed=0, n_paths=3)
+
+    @pytest.mark.parametrize("grid", BAD_GRIDS[:2])
+    def test_bad_grid_rejected(self, grid):
+        # inserting t0 = 0.3 leaves a grid out of order out of order
+        spec = BridgeSpec(heat_field(1), ou_field(1), t1=1.0, epsilon=0.3)
+        with pytest.raises(DynamicsError, match="time grid"):
+            bridge_path(spec, [0.0], grid, seed=0, n_paths=3)
+
+    def test_fewer_than_one_path_rejected(self):
+        spec = BridgeSpec(heat_field(1), ou_field(1), t1=1.0)
+        with pytest.raises(DynamicsError, match="at least one path"):
+            bridge_path(spec, [0.0], time_grid(1.0, 4), seed=0, n_paths=0)
 
     def test_bridge_same_field_matches_plain(self):
         f = ou_field(1, 1.0, 0.5)

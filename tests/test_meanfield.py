@@ -131,6 +131,11 @@ class TestEvolveParticles:
         with pytest.raises(DynamicsError, match="dimension"):
             evolve_particles(mean_field_ou(2), EmpiricalMeasure([[0.0]]), 4, time_grid(0.2, 4), seed=0)
 
+    @pytest.mark.parametrize("grid", [[0.0, 0.5, 0.2, 1.0], [0.0, math.nan, 1.0], [[0.0, 0.5], [0.5, 1.0]]])
+    def test_bad_grid_rejected(self, grid):
+        with pytest.raises(DynamicsError, match="time grid"):
+            evolve_particles(mean_field_ou(1), EmpiricalMeasure([[0.0]]), 4, grid, seed=0)
+
 
 class TestFlowMap:
     def test_time_zero_returns_initial_samples(self):

@@ -1,5 +1,3 @@
-import json
-
 import numpy as np
 import pytest
 
@@ -7,9 +5,7 @@ from entroflow import (
     EmpiricalMeasure,
     GaussianMeasure,
     MeasureError,
-    empirical_from_points,
     gaussian_sample,
-    second_moment,
 )
 
 from _refs import direct_covariance
@@ -17,62 +13,47 @@ from _refs import direct_covariance
 
 class TestEmpirical:
     def test_single_point_is_dirac(self):
-        m = empirical_from_points([[1.0, 2.0]])
+        m = EmpiricalMeasure([[1.0, 2.0]])
         assert m.n_points == 1 and m.dim == 2
         assert m.weights.tolist() == [1.0]
 
     def test_weights_normalized(self):
-        m = empirical_from_points([[0.0], [1.0]], weights=[2.0, 2.0])
+        m = EmpiricalMeasure([[0.0], [1.0]], weights=[2.0, 2.0])
         assert np.allclose(m.weights, [0.5, 0.5])
         assert abs(m.weights.sum() - 1.0) < 1e-12
 
     def test_mixed_dimension_rejected(self):
         with pytest.raises(MeasureError):
-            empirical_from_points([[1.0], [1.0, 2.0]])
+            EmpiricalMeasure([[1.0], [1.0, 2.0]])
 
     def test_empty_rejected(self):
         with pytest.raises(MeasureError):
-            empirical_from_points([])
+            EmpiricalMeasure([])
 
     def test_negative_weight_rejected(self):
         with pytest.raises(MeasureError):
-            empirical_from_points([[0.0], [1.0]], weights=[1.0, -0.1])
+            EmpiricalMeasure([[0.0], [1.0]], weights=[1.0, -0.1])
 
     def test_second_moment_dirac_zero(self):
-        assert second_moment(empirical_from_points([[0.0, 0.0]])) == 0.0
+        assert EmpiricalMeasure([[0.0, 0.0]]).second_moment() == 0.0
 
     def test_second_moment_two_points(self):
         # direct sum (1+1)/2
-        m = empirical_from_points([[1.0, 0.0], [0.0, 1.0]])
+        m = EmpiricalMeasure([[1.0, 0.0], [0.0, 1.0]])
         assert abs(m.second_moment() - 1.0) < 1e-15
 
     def test_immutable(self):
-        m = empirical_from_points([[1.0]])
+        m = EmpiricalMeasure([[1.0]])
         with pytest.raises(AttributeError):
             m.points = np.zeros((1, 1))
         with pytest.raises(ValueError):
             m.points[0, 0] = 2.0
 
-    def test_csv_roundtrip(self, tmp_path):
-        m = empirical_from_points([[1.0, 2.0], [3.0, 4.0]], weights=[1.0, 3.0])
-        path = tmp_path / "m.csv"
-        m.to_csv(path)
-        back = EmpiricalMeasure.from_csv(path, has_weights=True)
-        assert np.array_equal(back.points, m.points)
-        assert np.array_equal(back.weights, m.weights)
-
-    def test_json_roundtrip(self):
-        m = empirical_from_points([[1.0], [2.0]], weights=[0.25, 0.75])
-        d = json.loads(m.to_json())
-        back = EmpiricalMeasure.from_json_dict(d)
-        assert np.array_equal(back.points, m.points)
-        assert d["dim"] == 1
-
 
 class TestGaussian:
     def test_standard_second_moment_is_dim(self):
         for d in (1, 2, 5):
-            assert second_moment(GaussianMeasure.standard(d)) == pytest.approx(d)
+            assert GaussianMeasure.standard(d).second_moment() == pytest.approx(d)
 
     def test_non_spd_rejected(self):
         with pytest.raises(MeasureError):
@@ -92,7 +73,7 @@ class TestGaussian:
 
     def test_second_moment_formula(self):
         g = GaussianMeasure([3.0, 4.0], np.diag([2.0, 5.0]))
-        assert second_moment(g) == pytest.approx(25.0 + 7.0)
+        assert g.second_moment() == pytest.approx(25.0 + 7.0)
 
 
 class TestSampling:

@@ -8,7 +8,6 @@ from entroflow import (
     EmpiricalMeasure,
     GaussianMeasure,
     TransportError,
-    empirical_from_points,
     gaussian_sample,
     optimal_coupling_discrete,
     w2_empirical_1d,
@@ -68,18 +67,18 @@ class TestGaussianW2:
 
 class TestEmpirical1d:
     def test_identical_zero(self):
-        m = empirical_from_points([[0.0], [1.0], [2.0]])
+        m = EmpiricalMeasure([[0.0], [1.0], [2.0]])
         assert w2_empirical_1d(m, m) == 0.0
 
     def test_diracs(self):
         assert w2_empirical_1d(
-            empirical_from_points([[0.0]]), empirical_from_points([[3.0]])
+            EmpiricalMeasure([[0.0]]), EmpiricalMeasure([[3.0]])
         ) == pytest.approx(3.0)
 
     def test_shifted_uniform_pair(self):
         # uniform{0,1} vs uniform{2,3}: monotone matching moves each point by 2
-        mu = empirical_from_points([[0.0], [1.0]])
-        nu = empirical_from_points([[2.0], [3.0]])
+        mu = EmpiricalMeasure([[0.0], [1.0]])
+        nu = EmpiricalMeasure([[2.0], [3.0]])
         brute = math.sqrt(
             min(
                 0.5 * ((0 - 2) ** 2 + (1 - 3) ** 2),
@@ -89,20 +88,20 @@ class TestEmpirical1d:
         assert w2_empirical_1d(mu, nu) == pytest.approx(brute) == pytest.approx(2.0)
 
     def test_weighted(self):
-        mu = empirical_from_points([[0.0], [1.0]], weights=[0.75, 0.25])
-        nu = empirical_from_points([[0.0], [1.0]], weights=[0.25, 0.75])
+        mu = EmpiricalMeasure([[0.0], [1.0]], weights=[0.75, 0.25])
+        nu = EmpiricalMeasure([[0.0], [1.0]], weights=[0.25, 0.75])
         # quantile coupling moves mass 0.5 across distance 1
         assert w2_empirical_1d(mu, nu) == pytest.approx(math.sqrt(0.5))
 
     def test_rejects_2d(self):
-        m = empirical_from_points([[0.0, 0.0]])
+        m = EmpiricalMeasure([[0.0, 0.0]])
         with pytest.raises(TransportError):
             w2_empirical_1d(m, m)
 
 
 class TestDiscreteOT:
     def test_identical_zero(self):
-        m = empirical_from_points([[0.0, 1.0], [2.0, 0.0]])
+        m = EmpiricalMeasure([[0.0, 1.0], [2.0, 0.0]])
         dist, plan = w2_empirical_ot(m, m, method="exact")
         assert dist == pytest.approx(0.0, abs=1e-12)
         plan.validate()
@@ -141,14 +140,14 @@ class TestDiscreteOT:
 
     def test_dirac_pair_plan(self):
         plan = optimal_coupling_discrete(
-            empirical_from_points([[0.0]]), empirical_from_points([[2.0]])
+            EmpiricalMeasure([[0.0]]), EmpiricalMeasure([[2.0]])
         )
         assert plan.matrix.shape == (1, 1)
         assert plan.matrix[0, 0] == pytest.approx(1.0)
         assert plan.cost == pytest.approx(4.0)
 
     def test_self_coupling_cost_zero(self):
-        m = empirical_from_points([[0.0], [1.0], [2.0]])
+        m = EmpiricalMeasure([[0.0], [1.0], [2.0]])
         plan = optimal_coupling_discrete(m, m)
         assert plan.cost == pytest.approx(0.0, abs=1e-12)
 
@@ -173,15 +172,6 @@ class TestDiscreteOT:
                 plan *= (nu.weights / plan.sum(axis=0))[None, :]
             assert np.max(np.abs(plan.sum(axis=1) - mu.weights)) < 1e-9
             assert float(np.sum(plan * cost)) >= opt - 1e-9
-
-    def test_plan_json_triplets(self):
-        plan = optimal_coupling_discrete(
-            empirical_from_points([[0.0], [1.0]]), empirical_from_points([[0.0], [1.0]])
-        )
-        d = json.loads(plan.to_json())
-        assert d["rows"] == 2 and d["cols"] == 2
-        total = sum(m for _, _, m in d["triplets"])
-        assert total == pytest.approx(1.0)
 
 
 class TestSinkhorn:
@@ -209,7 +199,7 @@ class TestSinkhorn:
             w2_empirical_ot(mu, nu, method="entropic", epsilon=1e-9, max_iter=5)
 
     def test_epsilon_required(self):
-        m = empirical_from_points([[0.0]])
+        m = EmpiricalMeasure([[0.0]])
         with pytest.raises(TransportError):
             w2_empirical_ot(m, m, method="entropic")
 
@@ -225,14 +215,14 @@ class TestSinkhorn:
         ],
     )
     def test_bad_arguments_rejected(self, kwargs):
-        m = empirical_from_points([[0.0], [1.0]])
+        m = EmpiricalMeasure([[0.0], [1.0]])
         with pytest.raises(TransportError, match="entropic method needs"):
             w2_empirical_ot(m, m, method="entropic", **kwargs)
 
     def test_nonfinite_error_stops_at_once(self):
         # a NaN in the kernel poisons the potentials: the solve stops at the
         # first iteration instead of running to the cap
-        mu = empirical_from_points([[0.0], [1.0]])
+        mu = EmpiricalMeasure([[0.0], [1.0]])
         with np.errstate(invalid="ignore"):
             with pytest.raises(SinkhornDivergedError, match="not finite after 1 iterations"):
                 _sinkhorn(np.array([[0.0, np.nan], [np.nan, 0.0]]), mu.weights, mu.weights, 100, 1e-7)
@@ -280,7 +270,6 @@ class TestSinkhorn:
         assert isinstance(plan.iterations, int) and 1 <= plan.iterations <= SINKHORN_MAX_ITER
         assert plan.marginal_error == pytest.approx(plan.marginal_violation(), rel=0, abs=1e-15)
         assert plan.marginal_error < SINKHORN_TOL
-        assert set(plan.to_json_dict()) == {"cost", "rows", "cols", "triplets"}
         exact = w2_empirical_ot(mu, nu, method="exact")[1]
         assert exact.iterations is None and exact.marginal_error is None
 

@@ -63,7 +63,6 @@ from .meanfield import (
 )
 from .inequalities import (
     MismatchCase,
-    PositiveTestFunction,
     bridge_decomposition_experiment,
     bridge_epsilon_sweep,
     entropy_cost_experiment,

@@ -314,7 +314,6 @@ def refine_grid(times, t_insert):
         out = times.copy()
         out[nearest] = t_insert
         return out
-    # inserted, not sorted in: a grid out of order stays so, for _integrate to reject
     return np.insert(times, np.searchsorted(times, t_insert), t_insert)
 
 
@@ -323,6 +322,14 @@ def _step(x, t, h, drift_fn, sigma_fn, dw):
     b = drift_fn(t, x)
     sig = sigma_fn(t, x)
     return x + b * h + np.einsum("nij,nj->ni", sig, dw)
+
+
+def _checked_grid(times):
+    """times as a float array; it must be a nonempty 1-D grid of finite, nondecreasing nodes."""
+    times = np.asarray(times, dtype=float)
+    if times.ndim != 1 or times.size == 0 or not np.isfinite(times).all() or (np.diff(times) < 0).any():
+        raise DynamicsError("need a nonempty 1-D time grid of finite, nondecreasing nodes")
+    return times
 
 
 def _integrate(x0_rows, times, advance, seed, stream, dim, interacting=False):
@@ -334,11 +341,10 @@ def _integrate(x0_rows, times, advance, seed, stream, dim, interacting=False):
     state at t + h as a new array, given the state x at t and the rows'
     increments dw over the step.  An interacting ensemble halts at its first
     blow-up; otherwise only the rows that blew up stop.  Returns the
-    PathEnsemble of the (n_rows, n_nodes, width) paths.  The grid must be
-    1-D, finite and nondecreasing.
+    PathEnsemble of the (n_rows, n_nodes, width) paths.  The grid must pass
+    _checked_grid.
     """
-    if times.ndim != 1 or times.size == 0 or not np.isfinite(times).all() or (np.diff(times) < 0).any():
-        raise DynamicsError("need a nonempty 1-D time grid of finite, nondecreasing nodes")
+    times = _checked_grid(times)
     n_rows, width = x0_rows.shape
     increments = path_normals(seed, n_rows, times.size - 1, dim, stream)
     increments *= np.sqrt(np.diff(times))[None, :, None]
@@ -385,7 +391,6 @@ def euler_maruyama(field, x0, times, seed, n_paths=1):
     def advance(t, h, x, dw):
         return _step(x, t, h, field.drift, field.sigma, dw)
 
-    times = np.asarray(times, dtype=float)
     return _integrate(_start_rows(x0, field.dim, n_paths), times, advance, seed, 0, field.dim)
 
 
@@ -401,7 +406,6 @@ def synchronous_pair(field1, field2, x1, x2, times, seed, n_pairs=1):
     """
     if field1.dim != field2.dim:
         raise DynamicsError("field dimensions differ")
-    times = np.asarray(times, dtype=float)
     d = field1.dim
     x = _start_rows(x1, d, n_pairs)
     state0 = np.hstack([x, x - _start_rows(x2, d, n_pairs)])
@@ -427,8 +431,8 @@ def synchronous_pair(field1, field2, x1, x2, times, seed, n_pairs=1):
             separation[over] = scale * np.linalg.norm(diff[over] / scale[:, None], axis=1)
     # the second component X1 - D takes the place of D in the stacked buffer
     np.subtract(x, diff, out=diff)
-    ens1 = PathEnsemble(times=times, paths=x, aborted=stacked.aborted)
-    ens2 = PathEnsemble(times=times, paths=diff, aborted=stacked.aborted)
+    ens1 = PathEnsemble(times=stacked.times, paths=x, aborted=stacked.aborted)
+    ens2 = PathEnsemble(times=stacked.times, paths=diff, aborted=stacked.aborted)
     return CoupledPair(first=ens1, second=ens2, separation=separation)
 
 
@@ -439,7 +443,7 @@ def bridge_path(spec, x1, times, seed, n_paths=1):
     use field1 and later steps use field2, so the indicator split in time is
     represented without rounding.  Paths are continuous at the switch.
     """
-    times = refine_grid(np.asarray(times, dtype=float), spec.t0)
+    times = refine_grid(_checked_grid(times), spec.t0)
     if times[-1] < spec.t1 - 1e-12:
         raise DynamicsError("grid must reach t1")
 

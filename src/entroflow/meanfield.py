@@ -154,7 +154,6 @@ def evolve_particles(field, init, n_particles, times, seed, stream=0):
     """
     if n_particles < 1:
         raise DynamicsError("need at least one particle")
-    times = np.asarray(times, dtype=float)
     x = _initial_cloud(init, n_particles, seed, stream)
     return _evolve_cloud(field, x, times, seed, stream)
 

@@ -18,7 +18,7 @@ short-time divergence probe, and the switched-generator (bridge) law.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Optional, Union
 
 import numpy as np
@@ -53,25 +53,24 @@ class OracleError(ValueError):
     pass
 
 
-def _as_matrix_fn(val, d, name):
+def _resolve(val, d, name, matrix):
+    """(fn of t, is constant) for one coefficient: a callable as given, or a
+    constant checked against (d, d) (a scalar times the identity) or (d,)
+    (a single value filled across d)."""
     if callable(val):
         return val, False
     arr = np.asarray(val, dtype=float)
-    if arr.shape == ():
-        arr = float(arr) * np.eye(d)
-    if arr.shape != (d, d):
-        raise OracleError(f"{name} must be a {d}x{d} matrix")
-    return (lambda t, a=arr: a), True
-
-
-def _as_vector_fn(val, d, name):
-    if callable(val):
-        return val, False
-    arr = np.asarray(val, dtype=float).reshape(-1)
-    if arr.size == 1 and d > 1:
-        arr = np.full(d, float(arr[0]))
-    if arr.shape != (d,):
-        raise OracleError(f"{name} must be a length-{d} vector")
+    if matrix:
+        shape, kind = (d, d), f"a {d}x{d} matrix"
+        if arr.shape == ():
+            arr = float(arr) * np.eye(d)
+    else:
+        shape, kind = (d,), f"a length-{d} vector"
+        arr = arr.reshape(-1)
+        if arr.size == 1 and d > 1:
+            arr = np.full(d, float(arr[0]))
+    if arr.shape != shape:
+        raise OracleError(f"{name} must be {kind}")
     return (lambda t, a=arr: a), True
 
 
@@ -80,9 +79,10 @@ class LinearSDESpec:
     """dX = (A(t) X + c(t)) dt + S(t) dW with constant-in-x noise, a = S S'/2.
 
     A, c, S may be constants (arrays/scalars) or callables of t.  The initial
-    law is Gaussian or a point (zero covariance).  Laws are defined on
-    [0, horizon]; for callable coefficients the horizon also sets the longest
-    RK4 step, horizon / RK4_STEPS.
+    law is Gaussian or a point (zero covariance).  Constant coefficients are
+    shape-checked at construction.  Laws are defined on [0, horizon]; for
+    callable coefficients the horizon also sets the longest RK4 step,
+    horizon / RK4_STEPS.
     """
 
     dim: int
@@ -92,6 +92,7 @@ class LinearSDESpec:
     initial_mean: np.ndarray
     initial_cov: Optional[np.ndarray] = None
     horizon: float = 1.0
+    _parts: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not (math.isfinite(self.horizon) and self.horizon > 0):
@@ -107,6 +108,10 @@ class LinearSDESpec:
         if eig[0] < -1e-12:
             raise OracleError("initial covariance must be positive semidefinite")
         object.__setattr__(self, "initial_cov", 0.5 * (cov + cov.T))
+        a_fn, a_const = _resolve(self.drift_matrix, self.dim, "drift_matrix", True)
+        c_fn, c_const = _resolve(self.drift_offset, self.dim, "drift_offset", False)
+        s_fn, s_const = _resolve(self.noise, self.dim, "noise", True)
+        object.__setattr__(self, "_parts", (a_fn, c_fn, s_fn, a_const and c_const and s_const))
 
     @classmethod
     def from_gaussian(cls, g, drift_matrix, drift_offset, noise, horizon=1.0):
@@ -118,13 +123,8 @@ class LinearSDESpec:
         return cls(x0.size, drift_matrix, drift_offset, noise, x0, None, horizon)
 
     def parts(self):
-        a_fn, a_const = _as_matrix_fn(self.drift_matrix, self.dim, "drift_matrix")
-        c_fn, c_const = _as_vector_fn(self.drift_offset, self.dim, "drift_offset")
-        s_fn, s_const = _as_matrix_fn(self.noise, self.dim, "noise")
-        return a_fn, c_fn, s_fn, a_const and c_const and s_const
-
-    def is_point_start(self):
-        return bool(np.all(self.initial_cov == 0.0))
+        """(A, c, S) as functions of t, and whether all three are constant."""
+        return self._parts
 
 
 def _propagate_const(a, c, q, m0, c0, tau):
@@ -212,29 +212,36 @@ def _law_at(m, cov, t):
         raise OracleError(f"propagated covariance not SPD at t={t}: {exc}") from exc
 
 
+def _check_times(times, horizon):
+    """The one time rule of every law entry point: sorted times in [0, horizon]."""
+    times = np.asarray(times, dtype=float).reshape(-1).tolist()
+    if not all(a <= b for a, b in zip(times, times[1:])):
+        raise OracleError("times must be sorted in increasing order")
+    if times and not (times[0] >= 0 and times[-1] <= horizon + 1e-12):
+        raise OracleError("times outside [0, horizon]")
+    return times
+
+
 def linear_sde_law(spec, t):
     """Gaussian law of the linear SDE at time t in [0, horizon]."""
-    if t == 0:
-        if spec.is_point_start():
-            raise OracleError("law at t=0 for a point start is a point mass, not a Gaussian")
-        return GaussianMeasure(spec.initial_mean, spec.initial_cov)
     return linear_sde_laws(spec, [t])[0]
 
 
 def linear_sde_laws(spec, times):
-    """Gaussian laws of the linear SDE at sorted times in (0, horizon].
+    """Gaussian laws of the linear SDE at sorted times in [0, horizon].
 
-    One forward integration serves every time, so a grid costs about as
+    t = 0 gives the initial law, which must be Gaussian, not a point.  One
+    forward integration serves every later time, so a grid costs about as
     much as its largest time.  Each law equals linear_sde_law(spec, t)
     exactly for constant coefficients and to RK4 accuracy otherwise.
     """
-    times = np.asarray(times, dtype=float).reshape(-1).tolist()
-    if not all(a <= b for a, b in zip(times, times[1:])):
-        raise OracleError("times must be sorted in increasing order")
-    if times and not (times[0] > 0 and times[-1] <= spec.horizon + 1e-12):
-        raise OracleError("times outside (0, horizon]")
-    path = _moment_path(spec, spec.initial_mean, spec.initial_cov, 0.0, times)
-    return [_law_at(m, cov, t) for (m, cov), t in zip(path, times)]
+    times = _check_times(times, spec.horizon)
+    n_zero = times.count(0.0)
+    if n_zero and np.all(spec.initial_cov == 0.0):
+        raise OracleError("law at t=0 for a point start is a point mass, not a Gaussian")
+    start = [GaussianMeasure(spec.initial_mean, spec.initial_cov) for _ in range(n_zero)]
+    path = _moment_path(spec, spec.initial_mean, spec.initial_cov, 0.0, times[n_zero:])
+    return start + [_law_at(m, cov, t) for (m, cov), t in zip(path, times[n_zero:])]
 
 
 def score_gaussian(g, y):
@@ -286,12 +293,7 @@ class MismatchBound:
 
     value: float
     diverged: bool
-    nodes: np.ndarray
-    integrand: np.ndarray
     decade_increments: tuple
-
-    def __float__(self):
-        return self.value
 
 
 def _node_values(field1, field2, law_provider, mids, keys, n_mc, seed):
@@ -300,13 +302,10 @@ def _node_values(field1, field2, law_provider, mids, keys, n_mc, seed):
     vals = np.empty(mids.size)
     for j, (s, key) in enumerate(zip(mids, keys)):
         law = law_provider(s)
-        if isinstance(law, GaussianMeasure):
-            draws = _gaussian_points(law, n_mc, substream(seed, DRAW, key))
-            score_law = law
-        else:
-            draws = law.points
-            score_law = GaussianMeasure(law.mean(), law.cov())
-        phi = mismatch_field(field1, field2, score_law, s, draws)
+        if not isinstance(law, GaussianMeasure):
+            raise OracleError(f"law_provider gave a {type(law).__name__} at s={s}, not a GaussianMeasure")
+        draws = _gaussian_points(law, n_mc, substream(seed, DRAW, key))
+        phi = mismatch_field(field1, field2, law, s, draws)
         a2 = field2.diffusion(s, draws)
         weighted = np.einsum("nij,nj->ni", np.linalg.inv(a2), phi)
         vals[j] = 0.5 * float(np.mean(np.einsum("ni,ni->n", phi, weighted)))
@@ -317,9 +316,8 @@ def mismatch_bound(field1, field2, t, law_provider, n_mc=500, seed=0, n_nodes=20
     """Entropy upper bound (1/2) int_0^t E |a2^{-1/2} Phi(s, X_s^1)|^2 ds.
 
     The initial law of the first diffusion is embodied by law_provider(s),
-    which must give its law at time s: a GaussianMeasure in the linear case
-    or an EmpiricalMeasure particle approximation (its moment-matched
-    Gaussian supplies the score).
+    which must give its law at time s as a GaussianMeasure (it supplies the
+    score and the Monte Carlo draws); any other return raises OracleError.
 
     Time quadrature is a midpoint rule on n_nodes geometrically refined
     intervals with smallest node t*1e-4; probe decades extend down to t*1e-12
@@ -342,8 +340,7 @@ def mismatch_bound(field1, field2, t, law_provider, n_mc=500, seed=0, n_nodes=20
     lo = np.concatenate([edges[:-1] for edges in probe] + [main[:-1]])
     hi = np.concatenate([edges[1:] for edges in probe] + [main[1:]])
     keys = [10_000 + 8 * (dec - 4) + j for dec in decades for j in range(8)] + list(range(n_nodes))
-    nodes = 0.5 * (lo + hi)
-    integrand = _node_values(field1, field2, law_provider, nodes, keys, n_mc, seed)
+    integrand = _node_values(field1, field2, law_provider, 0.5 * (lo + hi), keys, n_mc, seed)
     parts = integrand * (hi - lo)
     # per-decade increments, shallow to deep
     decade_inc = [float(np.sum(parts[8 * i : 8 * i + 8])) for i in reversed(range(len(decades)))]
@@ -354,8 +351,6 @@ def mismatch_bound(field1, field2, t, law_provider, n_mc=500, seed=0, n_nodes=20
     return MismatchBound(
         value=math.inf if diverged else total,
         diverged=diverged,
-        nodes=nodes,
-        integrand=integrand,
         decade_increments=tuple(decade_inc),
     )
 
@@ -363,15 +358,17 @@ def mismatch_bound(field1, field2, t, law_provider, n_mc=500, seed=0, n_nodes=20
 def bridge_law_linear(spec1, spec2, x1, t0, t1):
     """Law of the switched linear dynamics: spec1 on [0, t0], spec2 on [t0, t1].
 
-    Started at the point x1; Gaussian throughout.  t0 = t1 reduces to the
-    spec1 law, t0 = 0 to the spec2 law started at x1.
+    Started at the point x1; Gaussian throughout.  t0 must lie in spec1's
+    [0, horizon] and t0 <= t1 in spec2's, by the time rule of linear_sde_laws;
+    t1 = 0 is a point mass and rejected.  t0 = t1 reduces to the spec1 law,
+    t0 = 0 to the spec2 law started at x1.
     """
-    if not 0 <= t0 <= t1:
-        raise OracleError("need 0 <= t0 <= t1")
-    if t1 <= 0:
-        raise OracleError("need t1 > 0")
     if spec1.dim != spec2.dim:
         raise OracleError("spec dimensions differ")
+    _check_times([t0], spec1.horizon)
+    _check_times([t0, t1], spec2.horizon)
+    if t1 == 0:
+        raise OracleError("law at t=0 for a point start is a point mass, not a Gaussian")
     x1 = np.asarray(x1, dtype=float).reshape(-1)
     m, cov = x1, np.zeros((spec1.dim, spec1.dim))
     if t0 > 0:

@@ -6,7 +6,6 @@ import pytest
 from entroflow import (
     GaussianMeasure,
     MismatchCase,
-    PositiveTestFunction,
     bridge_decomposition_experiment,
     bridge_epsilon_sweep,
     entropy_cost_experiment,
@@ -270,7 +269,7 @@ class TestLogHarnack:
             assert log_harnack_coefficient(k, t) == pytest.approx(1 / (4 * t), rel=1e-6)
 
     def test_constant_function_trivial(self):
-        fam = [PositiveTestFunction(lambda x: np.full(x.shape[:-1], 2.0), "const")]
+        fam = {"const": lambda x: np.full(x.shape[:-1], 2.0)}
         rep = log_harnack_experiment(0.0, 0.5, [0.0], [1.0], fam)
         assert rep.left == pytest.approx(math.log(2.0), abs=1e-9)
         assert rep.right == pytest.approx(math.log(2.0) + 1 / 2.0, abs=1e-9)
@@ -279,7 +278,7 @@ class TestLogHarnack:
     def test_exp_linear_gap_closed_form(self):
         # heat flow, f = exp(v x): margin is |sqrt(t) v - (x-y)/(2 sqrt(t))|^2
         v, t, x, y = 0.8, 0.4, 0.3, -0.5
-        fam = [PositiveTestFunction(lambda p: np.exp(v * p[..., 0]), "exp_lin")]
+        fam = {"exp_lin": lambda p: np.exp(v * p[..., 0])}
         rep = log_harnack_experiment(0.0, t, [x], [y], fam)
         gap = (math.sqrt(t) * v - (x - y) / (2 * math.sqrt(t))) ** 2
         assert rep.margin == pytest.approx(gap, abs=1e-7)
@@ -298,7 +297,7 @@ class TestLogHarnack:
         var = -math.expm1(-2 * k * t) / k
         x, y = 1.0, 0.0
         v = math.exp(-k * t) * (x - y) / var
-        fam = [PositiveTestFunction(lambda p: np.exp(v * p[..., 0]), "aligned")]
+        fam = {"aligned": lambda p: np.exp(v * p[..., 0])}
         rep = log_harnack_experiment(k, t, [x], [y], fam)
         assert rep.margin == pytest.approx(0.0, abs=1e-7)
         assert rep.verdict == "holds"
@@ -308,9 +307,13 @@ class TestLogHarnack:
         assert rep.verdict == "holds"
 
     def test_nonpositive_rejected(self):
-        fam = [PositiveTestFunction(lambda p: p[..., 0], "linear")]
+        fam = {"linear": lambda p: p[..., 0]}
         with pytest.raises(ExperimentError, match="positive"):
             log_harnack_experiment(0.0, 0.5, [0.0], [1.0], fam)
+        # positive near 0 but negative at the quadrature points around x
+        fam = {"lin": lambda p: 1.0 + 0.01 * p[..., 0]}
+        with pytest.raises(ExperimentError, match="positive"):
+            log_harnack_experiment(0.0, 0.5, [-150.0], [0.0], fam)
 
 
 class TestMeanfieldEntropyCost:

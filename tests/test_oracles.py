@@ -53,14 +53,15 @@ class TestLinearLaw:
     def test_t0_returns_initial_gaussian(self):
         g = GaussianMeasure([1.0], [[0.5]])
         spec = LinearSDESpec.from_gaussian(g, [[0.0]], [0.0], [[1.0]])
-        law = linear_sde_law(spec, 0.0)
-        assert np.array_equal(law.mean, g.mean)
-        assert np.array_equal(law.cov, g.cov)
+        for law in (linear_sde_law(spec, 0.0), linear_sde_laws(spec, [0.0, 0.4])[0]):
+            assert np.array_equal(law.mean, g.mean)
+            assert np.array_equal(law.cov, g.cov)
 
     def test_t0_point_start_rejected(self):
         spec = heat_spec(1, x0=[0.0])
-        with pytest.raises(OracleError):
-            linear_sde_law(spec, 0.0)
+        for laws in (lambda: linear_sde_law(spec, 0.0), lambda: linear_sde_laws(spec, [0.0, 0.4])):
+            with pytest.raises(OracleError, match="point mass"):
+                laws()
 
     def test_time_dependent_matches_constant(self):
         # callable coefficients that are constant must agree with the closed form
@@ -235,6 +236,16 @@ class TestMomentPath:
             with pytest.raises(OracleError):
                 linear_sde_laws(spec, bad)
         assert linear_sde_laws(spec, []) == []
+        # the bridge takes the same rule: t0 within the first spec's
+        # horizon, t0 <= t1 within the second's, and no point mass at t1 = 0
+        s2 = _td_ou_spec(2.0)
+        for t0, t1 in ((0.5, 0.2), (-0.1, 0.5), (1.5, 1.8), (0.5, 2.5), (0.0, 0.0), (math.nan, 0.5)):
+            with pytest.raises(OracleError):
+                bridge_law_linear(spec, s2, [1.0], t0, t1)
+        bridge_law_linear(spec, s2, [1.0], 0.5, 1.5)
+        heat = heat_spec(1, 1.0)
+        with pytest.raises(OracleError, match="outside"):
+            bridge_law_linear(heat, heat, [0.0], 0.5, 3.0)
 
     def test_constant_coefficients_byte_identical(self):
         g = GaussianMeasure([0.5, -1.0], [[0.6, 0.2], [0.2, 0.4]])
@@ -254,6 +265,12 @@ class TestMomentPath:
         for horizon in (0.0, -1.0, math.inf):
             with pytest.raises(OracleError):
                 heat_spec(1, x0=[0.0], horizon=horizon)
+
+    def test_malformed_constant_rejected_at_construction(self):
+        bad = [(np.eye(2), 0.0, 1.0), (0.0, [0.0, 1.0], 1.0), (0.0, 0.0, [1.0])]
+        for drift_matrix, drift_offset, noise in bad:
+            with pytest.raises(OracleError, match="must be a"):
+                LinearSDESpec(1, drift_matrix, drift_offset, noise, [0.0])
 
 
 class TestScore:
@@ -394,20 +411,14 @@ class TestMismatchBound:
         deep = np.array(res.decade_increments[-3:])
         assert np.all(np.abs(deep - level) < 0.25 * level)
 
-    def test_particle_law_provider(self):
-        # an empirical cloud stands in for the law: with equal diffusions the
-        # score never enters, so the drift-gap value is reproduced exactly
-        c, t = 1.0, 0.5
+    def test_non_gaussian_provider_rejected(self):
+        # an empirical cloud is not a law the bound accepts
+        t = 0.5
         f1 = heat_field(1, 1.0, horizon=t)
-        f2 = constant_drift_field(1, c, 1.0, horizon=t)
+        f2 = constant_drift_field(1, 1.0, 1.0, horizon=t)
         s1 = heat_spec(1, 1.0, x0=[0.0], horizon=t)
-
-        def provider(s):
-            return gaussian_sample(linear_sde_law(s1, s), 64, seed=int(s * 1e6) % 999983)
-
-        res = mismatch_bound(f1, f2, t, provider, n_mc=64, seed=5)
-        assert not res.diverged
-        assert res.value == pytest.approx(c * c * t / 2.0, rel=1e-6)
+        with pytest.raises(OracleError, match="GaussianMeasure"):
+            mismatch_bound(f1, f2, t, lambda s: gaussian_sample(linear_sde_law(s1, s), 64, seed=0), n_mc=64)
 
     def test_integrable_singularity_not_flagged(self):
         # a1(t) approaching a2 like sqrt(s) near 0 gives an integrable

@@ -397,6 +397,8 @@ def log_harnack_experiment(k_curv, t, x, y, f_family=None):
     if x.size != y.size:
         raise ExperimentError("x and y dimensions differ")
     fam = f_family if f_family is not None else default_test_functions(x.size)
+    if not fam:
+        raise ExperimentError("f_family has no test functions")
     nodes, weights = _gauss_hermite_nodes(x.size)
     coeff = log_harnack_coefficient(k_curv, t)
     cost = coeff * float(np.sum((x - y) ** 2))

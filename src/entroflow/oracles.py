@@ -24,7 +24,7 @@ from typing import Callable, Optional, Union
 import numpy as np
 from scipy.linalg import expm
 
-from ._rng import DRAW, substream
+from ._rng import DRAW, _rekeyed
 from .measures import GaussianMeasure, MeasureError, _gaussian_points
 from .dynamics import DynamicsError, _central_div
 
@@ -300,11 +300,11 @@ def _node_values(field1, field2, law_provider, mids, keys, n_mc, seed):
     """0.5 E|a2^{-1/2} Phi(s, X_s)|^2 at each time s of mids; node j draws from
     the substream with index keys[j]."""
     vals = np.empty(mids.size)
-    for j, (s, key) in enumerate(zip(mids, keys)):
+    for j, (s, rng) in enumerate(zip(mids, _rekeyed(seed, DRAW, keys))):
         law = law_provider(s)
         if not isinstance(law, GaussianMeasure):
             raise OracleError(f"law_provider gave a {type(law).__name__} at s={s}, not a GaussianMeasure")
-        draws = _gaussian_points(law, n_mc, substream(seed, DRAW, key))
+        draws = _gaussian_points(law, n_mc, rng)
         phi = mismatch_field(field1, field2, law, s, draws)
         a2 = field2.diffusion(s, draws)
         weighted = np.einsum("nij,nj->ni", np.linalg.inv(a2), phi)
@@ -370,6 +370,8 @@ def bridge_law_linear(spec1, spec2, x1, t0, t1):
     if t1 == 0:
         raise OracleError("law at t=0 for a point start is a point mass, not a Gaussian")
     x1 = np.asarray(x1, dtype=float).reshape(-1)
+    if x1.size != spec1.dim:
+        raise OracleError(f"start point has {x1.size} coordinates, the specs have {spec1.dim}")
     m, cov = x1, np.zeros((spec1.dim, spec1.dim))
     if t0 > 0:
         (m, cov), = _moment_path(spec1, m, cov, 0.0, [t0])

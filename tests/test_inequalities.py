@@ -315,6 +315,10 @@ class TestLogHarnack:
         with pytest.raises(ExperimentError, match="positive"):
             log_harnack_experiment(0.0, 0.5, [-150.0], [0.0], fam)
 
+    def test_empty_family_rejected(self):
+        with pytest.raises(ExperimentError, match="no test functions"):
+            log_harnack_experiment(0.0, 0.5, [0.0], [1.0], {})
+
 
 class TestMeanfieldEntropyCost:
     def test_identical_initials_degenerate_near_zero(self):

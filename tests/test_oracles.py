@@ -246,6 +246,9 @@ class TestMomentPath:
         heat = heat_spec(1, 1.0)
         with pytest.raises(OracleError, match="outside"):
             bridge_law_linear(heat, heat, [0.0], 0.5, 3.0)
+        # a start point of the wrong dimension is the oracle's error, not numpy's
+        with pytest.raises(OracleError, match="coordinates"):
+            bridge_law_linear(heat_spec(1), heat_spec(1), [0.0, 1.0], 0.5, 1.0)
 
     def test_constant_coefficients_byte_identical(self):
         g = GaussianMeasure([0.5, -1.0], [[0.6, 0.2], [0.2, 0.4]])

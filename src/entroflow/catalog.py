@@ -35,6 +35,7 @@ __all__ = [
     "dini_power_drift_field",
     "LINEAR_NAMES",
     "INTERACTING_NAMES",
+    "MEAN_FIELD_NAMES",
     "make_field",
     "make_linear_spec",
     "make_mv_field",
@@ -195,6 +196,8 @@ def _names(view):
 
 LINEAR_NAMES = _names(_SPEC)
 INTERACTING_NAMES = _names(_MEAN_FIELD)
+#: every name make_mv_field builds: the interacting entries and the static fields it wraps
+MEAN_FIELD_NAMES = INTERACTING_NAMES + _names(_FIELD)
 
 
 def _build(name, view, d, params, names=None, **extra):
@@ -221,4 +224,4 @@ def make_mv_field(name, d=1, **params):
     """Catalog lookup for the mean-field view; a static field ignores the measure."""
     if name in _names(_FIELD):
         return MVCoefficientField.from_static(make_field(name, d, **params))
-    return _build(name, _MEAN_FIELD, d, params, names=INTERACTING_NAMES + _names(_FIELD))
+    return _build(name, _MEAN_FIELD, d, params, names=MEAN_FIELD_NAMES)

@@ -119,7 +119,7 @@ def _run_entropy_cost(p, seed):
     spec2 = _linear_spec_from(p, "spec2", d)
     t_grid = np.geomspace(p["t_min"], p["t_max"], p["n_t"])
     x1, x2 = _padded(p["x1"], d), _padded(p["x2"], d)
-    rep = entropy_cost_experiment(spec1, spec2, x1, x2, t_grid, p["bound_factor"])
+    rep = entropy_cost_experiment(spec1, spec2, x1, x2, t_grid)
     rows = rep.params["grid_rows"]
     return rep, ("t", "entropy", "t_entropy"), rows
 
@@ -133,7 +133,6 @@ _EC_PARAMS = {
     "t_min": _param("float", 0.01, "smallest grid time"),
     "t_max": _param("float", 1.0, "largest grid time"),
     "n_t": _param("int", 12, "log-spaced grid size"),
-    "bound_factor": _param("float", 10.0, "boundedness factor for t*Ent"),
 }
 
 
@@ -225,6 +224,8 @@ def _run_meanfield_ec(p, seed):
     field = catalog.make_mv_field(p["field_kind"], d=d, rate=p["field_rate"], a=p["field_a"])
     nu1 = _measure_from(p, "nu1", d)
     nu2 = _measure_from(p, "nu2", d)
+    if type(nu1) is not type(nu2):
+        raise CliError("parameters 'nu1_cov_scale' and 'nu2_cov_scale' must both be 0 (points) or both be positive")
     t_grid = np.geomspace(p["t_min"], p["t_max"], p["n_t"])
     rep = meanfield_entropy_cost_experiment(
         field, nu1, nu2, t_grid, p["n_particles"], p["n_steps"], seed=seed, k=p["k"]
@@ -235,9 +236,7 @@ def _run_meanfield_ec(p, seed):
 
 _MF_PARAMS = {
     "d": _param("int", 1, "dimension"),
-    "field_kind": _param(
-        "str", "mean-field-ou", "catalog name", choices=catalog.INTERACTING_NAMES + catalog.LINEAR_NAMES
-    ),
+    "field_kind": _param("str", "mean-field-ou", "catalog name", choices=catalog.MEAN_FIELD_NAMES),
     "field_rate": _param("float", 1.0, "interaction/reversion rate"),
     "field_a": _param("float", 0.5, "diffusion scale"),
     "nu1_mean": _param("vec", "0.0", "first initial mean (padded with zeros to d)"),

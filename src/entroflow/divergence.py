@@ -128,6 +128,13 @@ def _log_power_sum(mu, mu2, expo):
     return float(logsumexp(exponents))
 
 
+def _interpolation_right(first, log_power, p):
+    """Interpolation right side p*Ent(mu1|mu) + (p-1)*log_power; +inf if either term is."""
+    if math.isinf(first) or math.isinf(log_power):
+        return math.inf
+    return p * first + (p - 1.0) * log_power
+
+
 def interpolation_bound_check(mu1, mu2, mu, p):
     """Interpolation inequality between three discrete distributions.
 
@@ -145,7 +152,7 @@ def interpolation_bound_check(mu1, mu2, mu, p):
     left = kl_discrete(mu1, mu2)
     first = kl_discrete(mu1, mu)
     power = _log_power_sum(mu, mu2, p / (p - 1.0))
-    right = math.inf if math.isinf(first) or math.isinf(power) else p * first + (p - 1.0) * power
+    right = _interpolation_right(first, power, p)
     tol = 1e-10
     notes = ""
     if math.isinf(right):

@@ -16,11 +16,11 @@ from typing import Callable, Optional
 import numpy as np
 
 from ._rng import DRAW, substream
-from .divergence import kl_gaussian, kl_knn
-from .meanfield import _particle_times, evolve_particles
+from .divergence import _interpolation_right, kl_gaussian, kl_knn
+from .meanfield import _checked_grid, _grid_stats, _particle_times, evolve_particles
 from .measures import EmpiricalMeasure, GaussianMeasure, gaussian_sample
 from .oracles import bridge_law_linear, linear_sde_law, linear_sde_laws, mismatch_bound
-from .reports import ExperimentReport
+from .reports import ExperimentError, ExperimentReport
 from .transport import w2_empirical_ot, w2_exact, w2_gaussian
 
 __all__ = [
@@ -36,10 +36,6 @@ __all__ = [
     "meanfield_entropy_cost_experiment",
     "gaussian_log_power_integral",
 ]
-
-
-class ExperimentError(ValueError):
-    pass
 
 
 # --------------------------------------------------------------------------
@@ -109,27 +105,32 @@ def _is_standard_heat(spec):
     )
 
 
-def entropy_cost_experiment(spec1, spec2, x1, x2, t_grid, bound_factor=10.0):
+#: the entropy-cost rate check: max_t t*Ent within this factor of its last value
+BOUND_FACTOR = 10.0
+
+
+def _from_point(spec, x):
+    """spec started at the point x (checked against spec.dim by LinearSDESpec)."""
+    return replace(spec, initial_mean=x, initial_cov=None)
+
+
+def entropy_cost_experiment(spec1, spec2, x1, x2, t_grid):
     """Short-time rate of Ent(law1_t | law2_t) for two linear flows.
 
     Both laws start from points x1, x2 and are evaluated on the grid by
-    linear_sde_laws, one forward pass per flow.  The check is the 1/t rate:
-    max_t t*Ent must stay below bound_factor times the value at the largest
-    grid time.  params records the implied entropy-cost constant
-    sup_t t*Ent/|x1-x2|^2 and, when both specs are the standard heat flow,
-    the deviation from the sharp coefficient |x1-x2|^2/(4t).
+    linear_sde_laws, one forward pass per flow; a bad grid raises
+    ExperimentError (see meanfield._checked_grid).  The check is the 1/t
+    rate: max_t t*Ent must stay below BOUND_FACTOR times the value at the
+    largest grid time.  params records the implied entropy-cost
+    constant sup_t t*Ent/|x1-x2|^2 and, when both specs are the standard
+    heat flow, the deviation from the sharp coefficient |x1-x2|^2/(4t).
     """
-    x1 = np.asarray(x1, dtype=float).reshape(-1)
-    x2 = np.asarray(x2, dtype=float).reshape(-1)
-    t_grid = np.sort(np.asarray(t_grid, dtype=float))
-    if t_grid[0] <= 0:
-        raise ExperimentError("t grid must be positive")
-    s1 = replace(spec1, initial_mean=x1, initial_cov=None)
-    s2 = replace(spec2, initial_mean=x2, initial_cov=None)
+    t_grid = _checked_grid(t_grid)
+    s1, s2 = _from_point(spec1, x1), _from_point(spec2, x2)
     laws1, laws2 = linear_sde_laws(s1, t_grid), linear_sde_laws(s2, t_grid)
     ents = np.array([kl_gaussian(g1, g2) for g1, g2 in zip(laws1, laws2)])
     t_ent = t_grid * ents
-    dx2 = float(np.sum((x1 - x2) ** 2))
+    dx2 = float(np.sum((s1.initial_mean - s2.initial_mean) ** 2))
     params = {
         "t_grid": t_grid.tolist(),
         "entropy": ents.tolist(),
@@ -145,7 +146,7 @@ def entropy_cost_experiment(spec1, spec2, x1, x2, t_grid, bound_factor=10.0):
         left = right = tol = 0.0
         verdict, notes = "degenerate", "identical flows from identical starts: 0/0 ratio"
     else:
-        left, right, tol = float(np.max(t_ent)), bound_factor * float(t_ent[-1]), 1e-12
+        left, right, tol = float(np.max(t_ent)), BOUND_FACTOR * float(t_ent[-1]), 1e-12
         verdict = None
         notes = "boundedness of t*Ent over the grid" + ("; sharp heat coefficient recorded" if sharp else "")
     return ExperimentReport(
@@ -270,18 +271,15 @@ def bridge_decomposition_experiment(spec1, spec2, x1, x2, t1, epsilon=0.5, p=2.0
         raise ExperimentError("need p > 1")
     if not 0 < epsilon <= 0.5:
         raise ExperimentError("need epsilon in (0, 1/2]")
-    x1 = np.asarray(x1, dtype=float).reshape(-1)
-    x2 = np.asarray(x2, dtype=float).reshape(-1)
     t0 = epsilon * t1
-    s1 = replace(spec1, initial_mean=x1, initial_cov=None)
-    s2 = replace(spec2, initial_mean=x2, initial_cov=None)
+    s1, s2 = _from_point(spec1, x1), _from_point(spec2, x2)
     law1 = linear_sde_law(s1, t1)
     law2 = linear_sde_law(s2, t1)
-    law_b = bridge_law_linear(spec1, spec2, x1, t0, t1)
+    law_b = bridge_law_linear(spec1, spec2, s1.initial_mean, t0, t1)
     left = kl_gaussian(law1, law2)
-    first = p * kl_gaussian(law1, law_b)
-    alpha = p / (p - 1.0)
-    log_power = gaussian_log_power_integral(law_b, law2, alpha)
+    ent_b = kl_gaussian(law1, law_b)
+    first = p * ent_b
+    log_power = gaussian_log_power_integral(law_b, law2, p / (p - 1.0))
     params = {
         "t1": t1,
         "t0": t0,
@@ -292,11 +290,10 @@ def bridge_decomposition_experiment(spec1, spec2, x1, x2, t1, epsilon=0.5, p=2.0
         "t1_times_first_term": t1 * first,
     }
     tol = 1e-9
+    right = _interpolation_right(ent_b, log_power, p)
     if math.isinf(log_power):
-        right, verdict = math.inf, "degenerate"
-        notes = "power integral not Gaussian-integrable: right side infinite"
+        verdict, notes = "degenerate", "power integral not Gaussian-integrable: right side infinite"
     else:
-        right = first + (p - 1.0) * log_power
         verdict, notes = None, "closed-form Gaussian decomposition"
     return ExperimentReport(
         name="bridge_decomposition",
@@ -312,12 +309,11 @@ def bridge_decomposition_experiment(spec1, spec2, x1, x2, t1, epsilon=0.5, p=2.0
 def bridge_epsilon_sweep(spec1, spec2, x1, t1, p=2.0, eps_values=(1 / 16, 1 / 8, 1 / 4, 1 / 2)):
     """First decomposition term across switch fractions (longer shared window
     means a smaller first term).  Returns rows (epsilon, p*Ent(P1|Pb))."""
-    x1 = np.asarray(x1, dtype=float).reshape(-1)
-    s1 = replace(spec1, initial_mean=x1, initial_cov=None)
+    s1 = _from_point(spec1, x1)
     law1 = linear_sde_law(s1, t1)
     rows = []
     for eps in eps_values:
-        law_b = bridge_law_linear(spec1, spec2, x1, eps * t1, t1)
+        law_b = bridge_law_linear(spec1, spec2, s1.initial_mean, eps * t1, t1)
         rows.append((float(eps), p * kl_gaussian(law1, law_b)))
     return rows
 
@@ -438,41 +434,31 @@ def meanfield_entropy_cost_experiment(field, nu1, nu2, t_grid, n_particles, n_st
     """Estimated Ent(flow_t nu1 | flow_t nu2) against W2(nu1, nu2)^2 / t.
 
     Two independently seeded particle clouds approximate the two flows; the
-    entropy at each grid time is estimated by k-NN with a batch standard
-    error, producing the measured entropy-cost constant
-    sup_t t*Ent / W2(nu1,nu2)^2.  The constant itself is non-constructive,
-    so the verdict is rate-only ("holds" with the constant recorded) unless
-    the estimator noise swamps the values (largest standard error above half
-    the largest entropy), which is reported as degenerate.
+    entropy at each grid time is estimated by k-NN with a standard error
+    over 4 interleaved particle batches, producing the measured entropy-cost
+    constant sup_t t*Ent / W2(nu1,nu2)^2.  The constant itself is
+    non-constructive, so the verdict is rate-only ("holds" with the constant
+    recorded) unless the estimator noise swamps the values (largest standard
+    error above half the largest entropy), which is reported as degenerate.
+    A bad grid (see meanfield._checked_grid) or n_particles < 4*(k+1) raises
+    ExperimentError, and a pair without a W2 fails, before any cloud is drawn.
     """
-    t_grid = np.sort(np.asarray(t_grid, dtype=float))
+    t_grid = _checked_grid(t_grid)
+    parts = [slice(b, None, 4) for b in range(4)]
+    if n_particles < 4 * (k + 1):
+        raise ExperimentError(f"need n_particles >= 4*(k+1) = {4 * (k + 1)} for k={k}, got {n_particles}")
+    w0 = w2_exact(nu1, nu2)
     times = _particle_times(t_grid, n_steps)
     ens1 = evolve_particles(field, nu1, n_particles, times, seed, stream=0)
     ens2 = evolve_particles(field, nu2, n_particles, times, seed, stream=1)
-    w0 = w2_exact(nu1, nu2)
-    rows, ents, ses = [], [], []
-    for t in t_grid:
-        c1 = ens1.slice_measure(t)
-        c2 = ens2.slice_measure(t)
-        ent = kl_knn(c1, c2, k=k)
-        batches = []
-        n_b = 4
-        for b in range(n_b):
-            sel = slice(b, None, n_b)
-            batches.append(kl_knn(EmpiricalMeasure(c1.points[sel]), EmpiricalMeasure(c2.points[sel]), k=k))
-        se = float(np.std(batches, ddof=1) / math.sqrt(n_b))
-        ents.append(ent)
-        ses.append(se)
-        rows.append((float(t), ent, se))
-    ents = np.asarray(ents)
-    ses = np.asarray(ses)
+    ents, ses = _grid_stats(lambda c1, c2: kl_knn(c1, c2, k=k), ens1, ens2, t_grid, parts)
     params = {
         "t_grid": t_grid.tolist(),
         "entropy": ents.tolist(),
         "stderr": ses.tolist(),
         "w2_initial": w0,
         "n_particles": int(n_particles),
-        "grid_rows": rows,
+        "grid_rows": [(float(t), float(e), float(se)) for t, e, se in zip(t_grid, ents, ses)],
     }
     if w0 < 1e-12:
         left, right, tol = float(np.max(np.abs(ents))), 0.0, float(3.0 * np.max(ses) + 0.05)

@@ -27,7 +27,7 @@ from .dynamics import (
     LIP_TOL, BlowUpError, DynamicsError, _batch_spd_sqrt, _central_div, _integrate, _step, refine_grid, time_grid,
 )
 from .measures import EmpiricalMeasure, GaussianMeasure, _gaussian_points
-from .reports import ExperimentReport
+from .reports import ExperimentError, ExperimentReport
 from .transport import gaussian_optimal_map, optimal_coupling_discrete, w2_exact
 
 __all__ = [
@@ -169,12 +169,36 @@ def flow_map(field, mu0, t, n_particles, n_steps, seed):
     return ens.terminal_measure()
 
 
+def _checked_grid(t_grid):
+    """Sorted float copy of a flow experiment's time grid: nonempty, 1-D, finite, > 0."""
+    grid = np.asarray(t_grid, dtype=float)
+    if grid.ndim != 1 or grid.size == 0 or not np.all(np.isfinite(grid)) or grid.min() <= 0:
+        raise ExperimentError(f"time grid must be a nonempty 1-D array of finite times > 0, got {t_grid!r}")
+    return np.sort(grid)
+
+
 def _particle_times(t_grid, n_steps):
     """time_grid(max t_grid, n_steps) with every time of t_grid an exact node."""
     times = time_grid(max(t_grid), n_steps)
     for t in t_grid:
         times = refine_grid(times, t)
     return times
+
+
+def _grid_stats(stat, ens1, ens2, t_grid, parts):
+    """stat(cloud1_t, cloud2_t) at each grid time, with its batch standard error.
+
+    parts are row selections applied to both clouds alike; the standard error
+    is the spread of stat over them (ddof 1) over sqrt(len(parts)), and 0.0
+    for fewer than two.  Returns the values and the standard errors as arrays.
+    """
+    vals, ses = [], []
+    for t in t_grid:
+        c1, c2 = ens1.slice_measure(t), ens2.slice_measure(t)
+        vals.append(stat(c1, c2))
+        batches = [stat(EmpiricalMeasure(c1.points[s]), EmpiricalMeasure(c2.points[s])) for s in parts]
+        ses.append(float(np.std(batches, ddof=1) / np.sqrt(len(parts))) if len(parts) > 1 else 0.0)
+    return np.asarray(vals), np.asarray(ses)
 
 
 def _coupled_initial_clouds(nu1, nu2, n, seed):
@@ -196,20 +220,6 @@ def _coupled_initial_clouds(nu1, nu2, n, seed):
     return nu1.points[ii].copy(), nu2.points[jj].copy()
 
 
-def _w2_cloud_ratio(c1, c2):
-    """W2 between two equal-size uniform clouds, with a standard error over 8 batches."""
-    n_batches = 8
-    a, b = c1.points, c2.points
-    full = w2_exact(c1, c2)
-    n = a.shape[0]
-    if n < 2 * n_batches:
-        return full, 0.0
-    cuts = np.array_split(np.arange(n), n_batches)
-    vals = [w2_exact(EmpiricalMeasure(a[c]), EmpiricalMeasure(b[c])) for c in cuts]
-    se = float(np.std(vals, ddof=1) / np.sqrt(n_batches))
-    return full, se
-
-
 def w2_stability_experiment(field, nu1, nu2, t_grid, n_particles, n_steps, seed, bound=None):
     """Transport-distance stability of the particle flow.
 
@@ -218,10 +228,11 @@ def w2_stability_experiment(field, nu1, nu2, t_grid, n_particles, n_steps, seed,
     W2(cloud1_t, cloud2_t) / W2(nu1, nu2) over the time grid.  With no
     reference bound the verdict is "holds" and the measured constant is
     recorded (rate-only check); a supplied bound is compared at 3 batch
-    standard errors.  A particle blow-up in either cloud raises
-    BlowUpError.
+    standard errors over 8 contiguous blocks of pairs (none below 16 pairs).
+    A bad grid raises ExperimentError (see _checked_grid), and a particle
+    blow-up in either cloud BlowUpError.
     """
-    t_grid = np.asarray(t_grid, dtype=float)
+    t_grid = _checked_grid(t_grid)
     w0 = w2_exact(nu1, nu2)
     params = {"w2_initial": w0, "t_grid": t_grid.tolist()}
     if w0 < 1e-12:
@@ -234,17 +245,14 @@ def w2_stability_experiment(field, nu1, nu2, t_grid, n_particles, n_steps, seed,
         ens2 = _evolve_cloud(field, x2, times, seed, stream=0)
         if ens1.aborted or ens2.aborted:
             raise BlowUpError("particle blow-up during stability experiment")
-        ratios, ses, rows = [], [], []
-        for t in t_grid:
-            w, se = _w2_cloud_ratio(ens1.slice_measure(t), ens2.slice_measure(t))
-            ratios.append(w / w0)
-            ses.append(se / w0)
-            rows.append((float(t), w, w0))
+        parts = np.array_split(np.arange(n_particles), 8) if n_particles >= 16 else []
+        ws, ses = _grid_stats(w2_exact, ens1, ens2, t_grid, parts)
+        ratios, ses = ws / w0, ses / w0
         params.update(
-            ratios=[float(r) for r in ratios],
-            stderrs=[float(s) for s in ses],
+            ratios=ratios.tolist(),
+            stderrs=ses.tolist(),
             n_particles=int(n_particles),
-            grid_rows=rows,
+            grid_rows=[(float(t), float(w), w0) for t, w in zip(t_grid, ws)],
         )
         worst = int(np.argmax(ratios))
         left = float(ratios[worst])

@@ -37,6 +37,10 @@ _JSON_KEYS = (
 )
 
 
+class ExperimentError(ValueError):
+    """Input an experiment cannot check: a bad time grid, too few particles, a value out of range."""
+
+
 def classify(left, right, tolerance):
     """holds iff left <= right + tolerance in the extended reals."""
     if math.isnan(left) or math.isnan(right):

@@ -85,11 +85,15 @@ class TestRun:
             # non-finite numbers stop at the CLI instead of reaching a verdict
             ("log_harnack", "t=nan", "'t'"),
             ("log_harnack", "k_curv=nan", "'k_curv'"),
-            ("entropy_cost", "bound_factor=nan", "'bound_factor'"),
+            ("entropy_cost", "t_max=nan", "'t_max'"),
             ("talagrand", "mean=1,nan", "'mean'"),
             # a negative covariance scale is not a point mass
             ("meanfield_entropy_cost", "nu1_cov_scale=-1", "'nu1_cov_scale'"),
             ("meanfield_entropy_cost", "nu2_cov_scale=-0.5", "'nu2_cov_scale'"),
+            # a point start against a Gaussian one has no W2 to compare with
+            ("meanfield_entropy_cost", "nu2_cov_scale=0.5", "'nu1_cov_scale' and 'nu2_cov_scale'"),
+            # each of the 4 k-NN batches needs k+1 particles
+            ("meanfield_entropy_cost", "n_particles=20", "n_particles"),
         ]
         for experiment, setting, named in cases:
             capsys.readouterr()
@@ -193,6 +197,13 @@ class TestRun:
         monkeypatch.setitem(EXPERIMENTS, "talagrand", (summary, schema, broken))
         cfg = write_config(tmp_path / "t.ini", "talagrand", tmp_path / "out")
         assert main(["run", str(cfg)]) == 2
+
+    def test_static_dini_field_offered_for_mean_field(self, tmp_path):
+        out = tmp_path / "dini"
+        args = ["run", "--experiment", "meanfield_entropy_cost", "--out", str(out)]
+        assert main(args + ["--set", "field_kind=dini-power-drift", "--set", "d=1"]) == 0
+        report = json.loads((out / "meanfield_entropy_cost_report.json").read_text())
+        assert validate_report_dict(report) and report["verdict"] == "holds"
 
     def test_start_vectors_padded_to_d(self, tmp_path):
         # the default one-entry start vectors are padded with zeros up to d

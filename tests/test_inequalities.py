@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 
 from entroflow import (
+    EmpiricalMeasure,
     GaussianMeasure,
+    MeasureError,
     MismatchCase,
     bridge_decomposition_experiment,
     bridge_epsilon_sweep,
@@ -27,9 +29,14 @@ from entroflow.catalog import (
     mean_field_ou,
     ou_spec,
 )
+from entroflow import inequalities
 from entroflow.inequalities import ExperimentError
 
 from _refs import quad_log_power_integral_1d, random_spd
+
+#: time grids every flow experiment rejects: empty, non-finite, nonpositive, 2-D
+BAD_GRIDS = [[], [0.5, np.nan], [-0.1, 0.5], [[0.1, 0.5]]]
+BAD_GRID_IDS = ["empty", "nan", "negative", "2-D"]
 
 
 class TestTalagrand:
@@ -92,6 +99,16 @@ class TestEntropyCost:
         assert rep.verdict == "holds"
         t_ent = np.asarray(rep.params["t_entropy"])
         assert np.max(t_ent) <= 10.0 * t_ent[-1]
+
+    @pytest.mark.parametrize("grid", BAD_GRIDS, ids=BAD_GRID_IDS)
+    def test_bad_grid_rejected(self, grid):
+        with pytest.raises(ExperimentError, match="time grid"):
+            entropy_cost_experiment(heat_spec(1), heat_spec(1), [0.0], [1.0], grid)
+
+    def test_unsorted_grid_gives_sorted_report(self):
+        specs = (ou_spec(1, 1.0, 1.0), ou_spec(1, 1.0, 2.0), [0.0], [1.0])
+        rep = entropy_cost_experiment(*specs, [0.5, 0.01, 0.1])
+        assert rep.to_json() == entropy_cost_experiment(*specs, [0.01, 0.1, 0.5]).to_json()
 
 
 class TestMismatchSingularity:
@@ -362,3 +379,37 @@ class TestMeanfieldEntropyCost:
             v_t = 0.5 * (1 - math.exp(-2 * t))
             assert abs(ent - 1.0 / (2 * v_t)) < 0.35 * (1.0 / (2 * v_t))
         assert rep.left < 1.5
+
+    @pytest.mark.parametrize("grid", BAD_GRIDS + [[0.0, 0.5]], ids=BAD_GRID_IDS + ["zero"])
+    def test_bad_grid_rejected(self, grid):
+        # t = 0 would compare coincident point clouds (k-NN radii clamped at 1e-300)
+        field = mean_field_ou(1, 1.0, 0.5)
+        with pytest.raises(ExperimentError, match="time grid"):
+            meanfield_entropy_cost_experiment(
+                field, EmpiricalMeasure([[0.0]]), EmpiricalMeasure([[1.0]]), grid, 200, 16
+            )
+
+    def test_unsorted_grid_gives_sorted_report(self):
+        args = (mean_field_ou(1, 1.0, 0.5), EmpiricalMeasure([[0.0]]), EmpiricalMeasure([[1.0]]))
+        rep = meanfield_entropy_cost_experiment(*args, [0.5, 0.1, 0.25], 200, 16, seed=3)
+        assert rep.to_json() == meanfield_entropy_cost_experiment(*args, [0.1, 0.25, 0.5], 200, 16, seed=3).to_json()
+
+    def test_inputs_checked_before_any_cloud(self, monkeypatch):
+        def no_clouds(*args, **kwargs):
+            raise AssertionError("a cloud was evolved")
+
+        monkeypatch.setattr(inequalities, "evolve_particles", no_clouds)
+        field = mean_field_ou(1, 1.0, 0.5)
+        nu1, nu2 = EmpiricalMeasure([[0.0]]), EmpiricalMeasure([[1.0]])
+        # each of the 4 batches needs k+1 particles for the k-NN estimate
+        with pytest.raises(ExperimentError, match="n_particles >= 4"):
+            meanfield_entropy_cost_experiment(field, nu1, nu2, [0.5], 23, 16, k=5)
+        with pytest.raises(MeasureError):
+            meanfield_entropy_cost_experiment(field, GaussianMeasure([0.0], [[1.0]]), nu2, [0.5], 200, 16)
+
+    def test_smallest_particle_count_runs(self):
+        field = mean_field_ou(1, 1.0, 0.5)
+        rep = meanfield_entropy_cost_experiment(
+            field, EmpiricalMeasure([[0.0]]), EmpiricalMeasure([[1.0]]), [0.5], 4 * (2 + 1), 16, k=2
+        )
+        assert len(rep.params["stderr"]) == 1

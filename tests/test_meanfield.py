@@ -21,6 +21,7 @@ from entroflow.catalog import make_mv_field, mean_field_ou, ou_field
 from entroflow.dynamics import _step
 from entroflow._rng import path_normals
 from entroflow.meanfield import _initial_cloud
+from entroflow.reports import ExperimentError
 
 from _refs import particle_loop
 
@@ -198,6 +199,17 @@ class TestStability:
             w2_stability_experiment(
                 field, GaussianMeasure([0.0], [[1.0]]), EmpiricalMeasure([[1.0]]), [0.1], 16, 8, seed=20
             )
+
+    @pytest.mark.parametrize("grid", [[], [0.5, np.nan], [-0.1, 0.5], [[0.1, 0.5]]], ids=["empty", "nan", "negative", "2-D"])
+    def test_bad_grid_rejected(self, grid):
+        nu1, nu2 = EmpiricalMeasure([[0.0]]), EmpiricalMeasure([[1.0]])
+        with pytest.raises(ExperimentError, match="time grid"):
+            w2_stability_experiment(mean_field_ou(1), nu1, nu2, grid, 16, 8, seed=21)
+
+    def test_unsorted_grid_gives_sorted_report(self):
+        args = (mean_field_ou(1), EmpiricalMeasure([[0.0]]), EmpiricalMeasure([[1.0]]))
+        rep = w2_stability_experiment(*args, [0.5, 0.1, 0.25], 64, 16, seed=22)
+        assert rep.to_json() == w2_stability_experiment(*args, [0.1, 0.25, 0.5], 64, 16, seed=22).to_json()
 
     def test_identical_initials_degenerate(self):
         field = mean_field_ou(1)

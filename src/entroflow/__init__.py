@@ -33,7 +33,6 @@ from .dynamics import (
     BridgeSpec,
     CoefficientField,
     CoupledPair,
-    DiniModulus,
     DynamicsError,
     PathEnsemble,
     SemimartingaleWitness,

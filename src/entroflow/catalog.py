@@ -11,8 +11,9 @@ the CLI selects dynamics from this catalog by name with numeric parameters:
 
 The linear entries share one description, dX = (c - rate*X) dt + sqrt(2a) dW,
 that gives both the simulation view (CoefficientField) and the closed-form
-view (LinearSDESpec); the other two reuse its constant diffusion.  The
-"diffusion-gap" of mismatch_singularity is the heat pair a1*I vs a2*I.
+view (LinearSDESpec); the other two reuse its constant diffusion.  A static
+field declares one constant, `bound`, and a mean-field entry one, `w2_lipschitz`.
+The "diffusion-gap" of mismatch_singularity is the heat pair a1*I vs a2*I.
 """
 
 import math
@@ -20,7 +21,7 @@ from numbers import Integral
 
 import numpy as np
 
-from .dynamics import CoefficientField, DiniModulus, DynamicsError
+from .dynamics import CoefficientField, DynamicsError
 from .meanfield import MVCoefficientField
 from .oracles import LinearSDESpec
 
@@ -39,6 +40,7 @@ __all__ = [
     "make_field",
     "make_linear_spec",
     "make_mv_field",
+    "param_names",
 ]
 
 #: catalog defaults by builder keyword; the builder signatures read them here
@@ -96,7 +98,6 @@ class _Linear:
             sigma_fn=self.sigma,
             div_a_fn=self.div_a,
             bound=max(self.a_scale, 1.0 / self.a_scale, abs(rate), float(np.linalg.norm(c))) + 1.0,
-            modulus=DiniModulus.power(1.0),
             horizon=horizon,
             label=label,
         )
@@ -133,7 +134,7 @@ def constant_drift_spec(d=1, c=_GAP["c"], a_scale=_GAP["a_scale"], x0=None, hori
 
 
 def mean_field_ou(d=1, rate=_OU["rate"], a_scale=_OU["a_scale"]):
-    """Drift rate*(mean(mu) - x): the cloud mean is conserved in expectation."""
+    """Drift rate*(mean(mu) - x), |rate|-Lipschitz in W2: the cloud mean is conserved in expectation."""
     diffusion, sigma, div_a = _constant_diffusion(d, a_scale)
     return MVCoefficientField(
         dim=d,
@@ -141,8 +142,7 @@ def mean_field_ou(d=1, rate=_OU["rate"], a_scale=_OU["a_scale"]):
         diffusion=diffusion,
         sigma_fn=sigma,
         div_a_fn=div_a,
-        bound=max(rate, a_scale, 1.0 / a_scale) + 1.0,
-        w2_lipschitz=rate,
+        w2_lipschitz=abs(rate),
         label=f"mean-field-ou(rate={rate},a={a_scale})",
     )
 
@@ -154,8 +154,10 @@ def dini_power_drift_field(
 
     The coordinatewise map r -> min(|r|,1)^alpha sign(r) has modulus
     2 phi(|dx|) for phi(r) = r^alpha, so the field sits in the Dini class
-    without being Lipschitz at the origin.
+    without being Lipschitz at the origin; alpha outside (0, 1] raises DynamicsError.
     """
+    if not 0 < alpha <= 1:
+        raise DynamicsError(f"dini-power-drift needs alpha in (0, 1], got {alpha!r}")
     diffusion, sigma, div_a = _constant_diffusion(d, a_scale)
 
     def drift0(t, x):
@@ -170,7 +172,6 @@ def dini_power_drift_field(
         sigma_fn=sigma,
         div_a_fn=div_a,
         bound=max(a_scale, 1.0 / a_scale, gamma * np.sqrt(d) * 2.0) + 1.0,
-        modulus=DiniModulus.power(alpha),
         horizon=horizon,
         label=f"dini(alpha={alpha},gamma={gamma})",
     )
@@ -200,13 +201,18 @@ INTERACTING_NAMES = _names(_MEAN_FIELD)
 MEAN_FIELD_NAMES = INTERACTING_NAMES + _names(_FIELD)
 
 
+def param_names(name):
+    """The parameters the named entry takes; the catalog parameter "a" is the builders' a_scale."""
+    return tuple("a" if kw == "a_scale" else kw for kw in _TABLE[name][-1])
+
+
 def _build(name, view, d, params, names=None, **extra):
-    """One view of a named entry; the catalog parameter "a" is the builders' a_scale."""
+    """One view of a named entry, its parameters read from params by param_names."""
     names = names or _names(view)
     if name not in names:
         raise KeyError(f"no {_VIEWS[view]} named {name!r}; choose from {names}")
     *builders, defaults = _TABLE[name]
-    kwargs = {kw: params.get("a" if kw == "a_scale" else kw, value) for kw, value in defaults.items()}
+    kwargs = {kw: params.get(p, value) for p, (kw, value) in zip(param_names(name), defaults.items())}
     return builders[view](d, **kwargs, **extra)
 
 

@@ -8,8 +8,9 @@ so two runs of one config differ only in the timestamp) plus plot-ready CSV.
 Exit codes: 0 when every verdict is holds/degenerate/divergent (divergence
 can be the expected finding), 2 when any verdict is "violated", 1 on
 operational errors and bad input: a config file that does not parse, an
-unknown [run] key, a format other than json and csv, or a parameter that
-does not parse, is out of range or is not finite.
+unknown [run] key, a format other than json and csv, a parameter that
+does not parse, is out of range or is not finite, or a given `<tag>_<p>`
+whose catalog entry `<tag>_kind` takes no parameter p.
 """
 
 import argparse
@@ -299,6 +300,12 @@ def resolve_params(name, raw_params):
     params = {k: _typed(schema, k, v["default"]) for k, v in schema.items()}
     for k, v in raw_params.items():
         params[k] = _typed(schema, k, v)
+    # a parameter given for a catalog entry must be one that entry takes
+    for k in raw_params:
+        tag, _, p = k.partition("_")
+        kind = params.get(f"{tag}_kind")
+        if kind is not None and p != "kind" and p not in catalog.param_names(kind):
+            raise CliError(f"parameter {k!r}: {tag}_kind {kind!r} takes no {p!r}")
     return params
 
 

@@ -5,9 +5,9 @@ Coefficient fields follow the generator convention
     L = tr(a(t,x) grad^2) + b(t,x) . grad,   sigma = sqrt(2 a),
 
 so the driftless a = I field is Brownian motion with Var X_t = 2t.  The drift
-splits into a bounded Dini-continuous part and a Lipschitz part; sampled
-invariant checks live on the field object because user fields are black
-boxes.
+splits into a bounded (Dini) part and a Lipschitz part; sampled invariant
+checks live on the field object because user fields are black boxes.  Static
+and mean-field fields share one sigma rule and one div a rule.
 
 Everything, the interacting particle systems of `meanfield` included, is
 integrated by Euler-Maruyama in one time loop, `_integrate`.  It draws an
@@ -29,14 +29,12 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
-from scipy.integrate import quad
 
 from ._rng import path_normals
 from .measures import EmpiricalMeasure
 from .reports import ExperimentReport
 
 __all__ = [
-    "DiniModulus",
     "CoefficientField",
     "BridgeSpec",
     "PathEnsemble",
@@ -68,62 +66,35 @@ LIP_TOL = 0.05
 # coefficient data
 
 
-@dataclass(frozen=True)
-class DiniModulus:
-    """Concave increasing modulus phi with phi(0)=0 and integrable phi(s)/s."""
-
-    fn: Callable
-    tag: str = ""
-
-    def __call__(self, r):
-        return self.fn(r)
-
-    def validate(self):
-        """Sampled checks on 64 points of [0, 2] and a quadrature of phi(s)/s."""
-        grid = np.linspace(0.0, 2.0, 64)
-        vals = np.asarray([float(self.fn(r)) for r in grid])
-        if abs(vals[0]) > 1e-12:
-            raise DynamicsError("modulus must vanish at 0")
-        if np.any(np.diff(vals) < -1e-12):
-            raise DynamicsError("modulus must be nondecreasing")
-        mid = np.asarray([float(self.fn(0.5 * (a + b))) for a, b in zip(grid[:-1], grid[1:])])
-        if np.any(mid < 0.5 * (vals[:-1] + vals[1:]) - 1e-9):
-            raise DynamicsError("modulus must be midpoint-concave")
-        # integral of phi(s)/s over (0,1]: quadrature piecewise toward 0 and a
-        # vanishing-tail test (the last refinement increment must die out,
-        # which a log-type divergence never does)
-        edges = 10.0 ** -np.arange(0.0, 31.0, 3.0)
-        increments = [
-            quad(lambda s: self.fn(s) / s, lo, hi, limit=200)[0]
-            for hi, lo in zip(edges[:-1], edges[1:])
-        ]
-        total = float(np.sum(increments))
-        if not np.isfinite(total) or increments[-1] > 1e-3 * max(1.0, total):
-            raise DynamicsError("integral of phi(s)/s over (0,1] diverges")
-        return self
-
-    @classmethod
-    def power(cls, alpha):
-        if not 0 < alpha <= 1:
-            raise DynamicsError("power modulus needs alpha in (0,1]")
-        return cls(lambda r: np.asarray(r, dtype=float) ** alpha, tag=f"power({alpha})").validate()
-
-    @classmethod
-    def log_type(cls):
-        def fn(r):
-            r = np.asarray(r, dtype=float)
-            with np.errstate(divide="ignore", invalid="ignore"):
-                out = np.where(r > 0, r * np.log1p(1.0 / np.maximum(r, 1e-300)), 0.0)
-            return out
-
-        return cls(fn, tag="log").validate()
-
-
 def _batch_spd_sqrt(mats):
     w, v = np.linalg.eigh(mats)
     if np.any(w <= 0):
         raise DynamicsError("diffusion matrix not SPD at a sampled point")
     return np.einsum("nij,nj,nkj->nik", v, np.sqrt(w), v)
+
+
+def _sigma(sigma_fn, diffusion, *args):
+    """sqrt(2a) at (t, x[, mu]): sigma_fn's value if given, else by eigendecomposition."""
+    if sigma_fn is not None:
+        return sigma_fn(*args)
+    return _batch_spd_sqrt(2.0 * diffusion(*args))
+
+
+def _div_a(div_a_fn, diffusion, t, x, *mu):
+    """Row divergence sum_l d a_il / d x_l at (t, x[, mu]) -> (n, d): div_a_fn's
+    value if given, else central differences of diffusion with step 1e-4."""
+    if div_a_fn is not None:
+        return div_a_fn(t, x, *mu)
+    step = 1e-4
+    x = np.asarray(x, dtype=float)
+    out = np.zeros_like(x)
+    for l in range(x.shape[1]):
+        e = np.zeros(x.shape[1])
+        e[l] = step
+        hi = diffusion(t, x + e, *mu)
+        lo = diffusion(t, x - e, *mu)
+        out += (hi[:, :, l] - lo[:, :, l]) / (2.0 * step)
+    return out
 
 
 @dataclass(frozen=True)
@@ -134,8 +105,7 @@ class CoefficientField:
     and the diffusion returns (n, d, d) SPD.  `bound` is the shared
     regularity constant: |b0| <= bound, operator norms of a and a^-1 and the
     Lipschitz quotients of b1 and a are all <= bound.  `sigma_fn` may supply
-    sqrt(2a) analytically; otherwise it is computed by eigendecomposition.
-    `div_a_fn(t, x) -> (n, d)` may supply the row divergence of a.
+    sqrt(2a) and `div_a_fn(t, x) -> (n, d)` the row divergence of a.
     """
 
     dim: int
@@ -143,7 +113,6 @@ class CoefficientField:
     drift_lipschitz: Callable
     diffusion: Callable
     bound: float
-    modulus: DiniModulus
     horizon: float = 1.0
     sigma_fn: Optional[Callable] = None
     div_a_fn: Optional[Callable] = None
@@ -153,12 +122,14 @@ class CoefficientField:
         return self.drift_dini(t, x) + self.drift_lipschitz(t, x)
 
     def sigma(self, t, x):
-        if self.sigma_fn is not None:
-            return self.sigma_fn(t, x)
-        return _batch_spd_sqrt(2.0 * self.diffusion(t, x))
+        return _sigma(self.sigma_fn, self.diffusion, t, x)
+
+    def div_a(self, t, x):
+        return _div_a(self.div_a_fn, self.diffusion, t, x)
 
     def validate(self, seed=0):
-        """Sampled invariant checks at 32 random (t, x), t uniform on [0, horizon], x ~ N(0, 4 I)."""
+        """Sampled invariant checks at 32 random (t, x), t uniform on [0, horizon],
+        x ~ N(0, 4 I); sigma sigma^T must match 2a to 1e-8 of its largest entry."""
         rng = np.random.default_rng(seed)
         t = rng.uniform(0.0, self.horizon, 32)
         x = rng.normal(scale=2.0, size=(32, self.dim))
@@ -173,8 +144,8 @@ class CoefficientField:
             if eig[-1] > k * (1 + 1e-9) or eig[0] <= 0 or 1.0 / eig[0] > k * (1 + 1e-9):
                 raise DynamicsError("diffusion norm bounds violated")
             sig = self.sigma(ti, pt)[0]
-            if np.max(np.abs(sig @ sig.T - 2.0 * a)) > 1e-8:
-                raise DynamicsError("sigma sigma^T != 2a within 1e-8")
+            if np.max(np.abs(sig @ sig.T - 2.0 * a)) > 2e-8 * np.max(np.abs(a)):
+                raise DynamicsError("sigma sigma^T != 2a within 1e-8 relative")
         # finite-difference Lipschitz quotients on random pairs
         h = rng.normal(scale=0.5, size=(32, self.dim))
         y = x + h
@@ -191,27 +162,6 @@ class CoefficientField:
             if d_b1 > k * (1 + LIP_TOL) * dx or d_a > k * (1 + LIP_TOL) * dx:
                 raise DynamicsError("sampled Lipschitz quotient exceeds the bound")
         return self
-
-    def div_a(self, t, x):
-        """Row divergence of a, analytic when provided, else central differences."""
-        if self.div_a_fn is not None:
-            return self.div_a_fn(t, x)
-        return _central_div(self.diffusion, t, x)
-
-
-def _central_div(diffusion, t, x):
-    """Row divergence sum_l d a_il / d x_l of diffusion(t, x) -> (n, d, d) by
-    central differences with step 1e-4."""
-    step = 1e-4
-    x = np.asarray(x, dtype=float)
-    out = np.zeros_like(x)
-    for l in range(x.shape[1]):
-        e = np.zeros(x.shape[1])
-        e[l] = step
-        hi = diffusion(t, x + e)
-        lo = diffusion(t, x - e)
-        out += (hi[:, :, l] - lo[:, :, l]) / (2.0 * step)
-    return out
 
 
 @dataclass(frozen=True)

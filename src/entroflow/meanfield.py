@@ -24,7 +24,7 @@ import numpy as np
 
 from ._rng import INIT, substream
 from .dynamics import (
-    LIP_TOL, BlowUpError, DynamicsError, _batch_spd_sqrt, _central_div, _integrate, _step, refine_grid, time_grid,
+    LIP_TOL, BlowUpError, DynamicsError, _div_a, _integrate, _sigma, _step, refine_grid, time_grid,
 )
 from .measures import EmpiricalMeasure, GaussianMeasure, _gaussian_points
 from .reports import ExperimentError, ExperimentReport
@@ -42,58 +42,48 @@ __all__ = [
 class MVCoefficientField:
     """Measure-dependent drift b(t, x, mu) and diffusion a(t, x, mu).
 
-    x is batched (n, d); mu is an EmpiricalMeasure snapshot.  `bound` plays
-    the same role as on CoefficientField and additionally bounds the
-    measure sensitivity: sup-norm changes of b, a and div a under a swap of
-    measure argument are <= bound * W2(mu, nu).  That condition quantifies
-    over all measure paths; validate() can only sample finitely many
-    empirical pairs and is documented as a sampled check.
+    x is batched (n, d); mu is an EmpiricalMeasure snapshot.  The one
+    constant, `w2_lipschitz`, bounds the measure sensitivity: sup-norm
+    changes of b, a and div a under a swap of measure argument are
+    <= w2_lipschitz * W2(mu, nu).  That condition quantifies over all measure
+    paths; validate() can only sample finitely many empirical pairs and is
+    documented as a sampled check.  sigma and div a follow CoefficientField's rules.
     """
 
     dim: int
     drift: Callable
     diffusion: Callable
-    bound: float
-    w2_lipschitz: float = None
+    w2_lipschitz: float
     sigma_fn: Optional[Callable] = None
     div_a_fn: Optional[Callable] = None
     label: str = ""
 
-    def __post_init__(self):
-        if self.w2_lipschitz is None:
-            object.__setattr__(self, "w2_lipschitz", self.bound)
-
     def sigma(self, t, x, mu):
-        if self.sigma_fn is not None:
-            return self.sigma_fn(t, x, mu)
-        return _batch_spd_sqrt(2.0 * self.diffusion(t, x, mu))
+        return _sigma(self.sigma_fn, self.diffusion, t, x, mu)
 
     def div_a(self, t, x, mu):
-        if self.div_a_fn is not None:
-            return self.div_a_fn(t, x, mu)
-        return _central_div(lambda t_, x_: self.diffusion(t_, x_, mu), t, x)
+        return _div_a(self.div_a_fn, self.diffusion, t, x, mu)
 
     @classmethod
     def from_static(cls, field):
         """Distribution-free wrapper around a CoefficientField.
 
         The wrapped callables ignore the measure argument and reuse the
-        static field's evaluations unchanged, so particle ensembles match
-        plain path ensembles bit for bit under matched seeds.
+        static field's evaluations, sigma and div a included, so particle
+        ensembles match plain path ensembles bit for bit under matched seeds.
         """
         return cls(
             dim=field.dim,
             drift=lambda t, x, mu: field.drift(t, x),
             diffusion=lambda t, x, mu: field.diffusion(t, x),
             sigma_fn=lambda t, x, mu: field.sigma(t, x),
-            div_a_fn=(lambda t, x, mu: field.div_a(t, x)) if field.div_a_fn else None,
-            bound=field.bound,
+            div_a_fn=lambda t, x, mu: field.div_a(t, x),
             w2_lipschitz=0.0,
             label=field.label,
         )
 
     def validate(self, seed=0):
-        """Sampled check of the measure-Lipschitz bounds on 16 random cloud pairs,
+        """Sampled check of the w2_lipschitz bound on 16 random cloud pairs,
         at t uniform on [0, 1] and 8 points x ~ N(0, 4 I) each."""
         rng = np.random.default_rng(seed)
         kw2 = self.w2_lipschitz

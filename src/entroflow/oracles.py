@@ -26,7 +26,7 @@ from scipy.linalg import expm
 
 from ._rng import DRAW, _rekeyed
 from .measures import GaussianMeasure, MeasureError, _gaussian_points
-from .dynamics import DynamicsError, _central_div
+from .dynamics import DynamicsError
 
 __all__ = [
     "LinearSDESpec",
@@ -267,8 +267,8 @@ def mismatch_field(field1, field2, law1, s, y):
 
     (a1 - a2)(s, y) . grad log p(y) + div(a1 - a2)(s, .)(y) + b2(s, y) - b1(s, y)
     where p is the (Gaussian) density of the first diffusion at time s.
-    Divergence uses the fields' analytic divergence when both provide one,
-    central differences with step 1e-4 otherwise.
+    div(a1 - a2) is field1.div_a - field2.div_a, each field's own divergence
+    rule (`dynamics._div_a`).
     """
     if field1.dim != field2.dim:
         raise DynamicsError("field dimensions differ")
@@ -279,10 +279,7 @@ def mismatch_field(field1, field2, law1, s, y):
     a2 = field2.diffusion(s, pts)
     score = score_gaussian(law1, pts)
     first = np.einsum("nij,nj->ni", a1 - a2, score)
-    if field1.div_a_fn is not None and field2.div_a_fn is not None:
-        div = field1.div_a(s, pts) - field2.div_a(s, pts)
-    else:
-        div = _central_div(lambda s_, x_: field1.diffusion(s_, x_) - field2.diffusion(s_, x_), s, pts)
+    div = field1.div_a(s, pts) - field2.div_a(s, pts)
     out = first + div + field2.drift(s, pts) - field1.drift(s, pts)
     return out[0] if single else out
 

@@ -3,7 +3,7 @@ import ast
 import numpy as np
 import pytest
 
-from entroflow import euler_maruyama, time_grid
+from entroflow import DynamicsError, euler_maruyama, time_grid
 from entroflow.catalog import (
     dini_power_drift_field,
     make_field,
@@ -49,11 +49,15 @@ class TestCatalog:
     def test_dini_field_validates_and_integrates(self):
         f = dini_power_drift_field(1, alpha=0.5, gamma=0.5)
         f.validate(seed=4)
-        f.modulus.validate()
         ens = euler_maruyama(f, [0.2], time_grid(0.5, 64), seed=5, n_paths=200)
         assert not ens.aborted
         # drift is bounded, so the cloud stays near the heat scale
         assert abs(ens.terminal_measure().mean()[0]) < 1.0
+
+    @pytest.mark.parametrize("alpha", [0.0, 1.5, float("nan")])
+    def test_dini_alpha_outside_unit_interval_rejected(self, alpha):
+        with pytest.raises(DynamicsError, match="alpha"):
+            dini_power_drift_field(1, alpha=alpha)
 
     def test_field_and_spec_views_agree(self):
         rng = np.random.default_rng(12)

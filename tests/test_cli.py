@@ -94,13 +94,30 @@ class TestRun:
             ("meanfield_entropy_cost", "nu2_cov_scale=0.5", "'nu1_cov_scale' and 'nu2_cov_scale'"),
             # each of the 4 k-NN batches needs k+1 particles
             ("meanfield_entropy_cost", "n_particles=20", "n_particles"),
+            # a given parameter the chosen catalog entry does not take is not dropped in silence
+            ("meanfield_entropy_cost", "field_kind=dini-power-drift field_rate=5",
+             "'field_rate': field_kind 'dini-power-drift' takes no 'rate'"),
+            ("meanfield_entropy_cost", "field_kind=heat field_rate=2", "'field_rate': field_kind 'heat'"),
+            ("entropy_cost", "spec1_rate=5", "'spec1_rate': spec1_kind 'heat' takes no 'rate'"),
+            ("entropy_cost", "spec2_kind=ou spec2_c=0.5", "'spec2_c': spec2_kind 'ou' takes no 'c'"),
+            ("bridge_decomposition", "spec1_kind=drift-gap spec1_rate=2", "'spec1_rate': spec1_kind 'drift-gap'"),
         ]
-        for experiment, setting, named in cases:
+        for experiment, settings, named in cases:
             capsys.readouterr()
-            args = ["run", "--experiment", experiment, "--out", str(tmp_path / "o"), "--set", setting]
-            assert main(args) == 1, setting
+            args = ["run", "--experiment", experiment, "--out", str(tmp_path / "o")]
+            for setting in settings.split():
+                args += ["--set", setting]
+            assert main(args) == 1, settings
             err = capsys.readouterr().err
-            assert err.startswith("error: ") and named in err, (setting, err)
+            assert err.startswith("error: ") and named in err, (settings, err)
+            assert not (tmp_path / "o").exists(), settings
+        # the rule holds for a config file's [params] too, and a parameter the entry takes passes it
+        cfg = write_config(tmp_path / "r.ini", "entropy_cost", tmp_path / "r", params={"spec2_rate": "2"})
+        capsys.readouterr()
+        assert main(["run", str(cfg)]) == 1
+        assert "'spec2_rate': spec2_kind 'heat'" in capsys.readouterr().err
+        assert not (tmp_path / "r").exists()
+        assert main(["run", str(cfg), "--set", "spec2_kind=ou"]) == 0
 
     def test_unknown_run_key_exit_one(self, tmp_path, capsys):
         # a misspelt key must not be ignored: "sed = 5" is not a seed

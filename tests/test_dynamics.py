@@ -8,7 +8,6 @@ from entroflow import (
     BlowUpError,
     BridgeSpec,
     CoefficientField,
-    DiniModulus,
     DynamicsError,
     SemimartingaleWitness,
     bridge_path,
@@ -34,7 +33,6 @@ def quintic_field(d=1):
         drift_lipschitz=lambda t, x: x**5,
         diffusion=lambda t, x: np.broadcast_to(np.eye(d), (x.shape[0], d, d)),
         bound=100.0,
-        modulus=DiniModulus.power(1.0),
     )
 
 
@@ -46,40 +44,14 @@ class TestTimeGrid:
         assert not isinstance(exc.value, BlowUpError)
 
 
-class TestDiniModulus:
-    def test_power_family_valid(self):
-        for alpha in (0.25, 0.5, 1.0):
-            DiniModulus.power(alpha)
-
-    def test_log_type_valid(self):
-        DiniModulus.log_type()
-
-    def test_rejects_nonzero_at_origin(self):
-        with pytest.raises(DynamicsError):
-            DiniModulus(lambda r: np.asarray(r) + 0.1).validate()
-
-    def test_rejects_convex(self):
-        with pytest.raises(DynamicsError):
-            DiniModulus(lambda r: np.asarray(r) ** 2).validate()
-
-    def test_rejects_divergent_integral(self):
-        # concave increasing with phi(0)=0 whose phi(s)/s integral diverges:
-        # 1/(1 - log s) below 1/e, tangent line continuation above
-        def fn(r):
-            r = np.asarray(r, dtype=float)
-            core = 1.0 / (1.0 - np.log(np.maximum(r, 1e-300)))
-            tangent = 0.5 + (math.e / 4.0) * (r - 1.0 / math.e)
-            return np.where(r == 0, 0.0, np.where(r <= 1.0 / math.e, core, tangent))
-
-        with pytest.raises(DynamicsError):
-            DiniModulus(fn).validate()
-
-
 class TestCoefficientField:
     def test_catalog_fields_validate(self):
         heat_field(2).validate()
         ou_field(1, rate=1.0, a_scale=0.5).validate()
         constant_drift_field(2, c=1.0).validate()
+        # sqrt(2a)^2 misses 2a by a few ulp of 2a, far above 1e-8 absolute at a = 1e9
+        for a_scale in (1e8, 1e9, 3e9, 7.3e9):
+            heat_field(1, a_scale).validate()
 
     def test_dini_bound_enforced(self):
         bad = CoefficientField(
@@ -88,10 +60,22 @@ class TestCoefficientField:
             drift_lipschitz=lambda t, x: np.zeros_like(x),
             diffusion=lambda t, x: np.broadcast_to(np.eye(1), (x.shape[0], 1, 1)),
             bound=1.5,
-            modulus=DiniModulus.power(0.5),
         )
         with pytest.raises(DynamicsError):
             bad.validate()
+
+    def test_sigma_mismatch_caught(self):
+        # 1e-7 of 2a off: above the check's 1e-8 relative tolerance
+        wrong = CoefficientField(
+            dim=1,
+            drift_dini=lambda t, x: np.zeros_like(x),
+            drift_lipschitz=lambda t, x: np.zeros_like(x),
+            diffusion=lambda t, x: np.broadcast_to(1e9 * np.eye(1), (x.shape[0], 1, 1)),
+            sigma_fn=lambda t, x: np.broadcast_to(np.sqrt(2e9 * (1 + 1e-7)) * np.eye(1), (x.shape[0], 1, 1)),
+            bound=2e9,
+        )
+        with pytest.raises(DynamicsError, match="sigma sigma"):
+            wrong.validate()
 
     def test_sigma_from_diffusion(self):
         f = heat_field(2, a_scale=3.0)
@@ -118,7 +102,6 @@ class TestEulerMaruyama:
             diffusion=lambda t, x: np.broadcast_to(np.eye(1), (x.shape[0], 1, 1)),
             sigma_fn=lambda t, x: np.zeros((x.shape[0], 1, 1)),
             bound=2.0,
-            modulus=DiniModulus.power(1.0),
         )
         ens = euler_maruyama(f, [0.7], time_grid(1.0, 32), seed=0)
         assert np.all(ens.paths == 0.7)

@@ -1,6 +1,7 @@
 """Source layout rules that no single behaviour test would catch."""
 
 import ast
+import importlib
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "entroflow"
@@ -25,3 +26,15 @@ def test_only_reports_and_cli_import_file_formats():
     assert {p.name for p in modules} >= FORMAT_MODULES
     offenders = {p.name for p in modules if imported_modules(p) & {"csv", "json"}} - FORMAT_MODULES
     assert not offenders, f"csv/json imported outside {sorted(FORMAT_MODULES)}: {sorted(offenders)}"
+
+
+def test_every_exported_name_resolves():
+    exported = 0
+    for path in sorted(SRC.glob("*.py")):
+        name = "entroflow" if path.stem == "__init__" else f"entroflow.{path.stem}"
+        module = importlib.import_module(name)
+        names = getattr(module, "__all__", ())
+        exported += len(names)
+        missing = [n for n in names if not hasattr(module, n)]
+        assert not missing, f"{name}.__all__ names what the module does not define: {missing}"
+    assert exported, "no module declares __all__"

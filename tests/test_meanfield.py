@@ -5,6 +5,7 @@ import pytest
 
 from entroflow import (
     BlowUpError,
+    CoefficientField,
     DynamicsError,
     EmpiricalMeasure,
     GaussianMeasure,
@@ -33,7 +34,7 @@ def septic_field():
         drift=lambda t, x, mu: x**7,
         diffusion=lambda t, x, mu: np.broadcast_to(np.eye(1), (x.shape[0], 1, 1)),
         sigma_fn=lambda t, x, mu: np.broadcast_to(np.sqrt(2) * np.eye(1), (x.shape[0], 1, 1)),
-        bound=100.0,
+        w2_lipschitz=0.0,
     )
 
 
@@ -41,6 +42,22 @@ class TestFieldWrapper:
     def test_mean_field_ou_validates(self):
         mean_field_ou(1, rate=1.0, a_scale=0.5).validate(seed=1)
         mean_field_ou(2, rate=0.7, a_scale=1.0).validate(seed=2)
+        # rate*(mean - x) is |rate|-Lipschitz in W2 whatever the sign of rate
+        mean_field_ou(1, rate=-1.0, a_scale=0.5).validate(seed=1)
+
+    def test_from_static_div_a_is_the_static_rule(self):
+        # no analytic divergence: the wrapper's central differences are the static field's own
+        base = CoefficientField(
+            dim=2,
+            drift_dini=lambda t, x: np.zeros_like(x),
+            drift_lipschitz=lambda t, x: np.zeros_like(x),
+            diffusion=lambda t, x: np.eye(2) * (1.0 + 0.1 * x[:, 0] ** 2 + 0.3 * t)[:, None, None],
+            bound=10.0,
+        )
+        field = MVCoefficientField.from_static(base)
+        x = np.random.default_rng(8).normal(size=(5, 2))
+        mu = EmpiricalMeasure(x)
+        assert np.array_equal(field.div_a(0.4, x, mu), base.div_a(0.4, x))
 
     def test_measure_lipschitz_violation_caught(self):
         bad = MVCoefficientField(
@@ -49,7 +66,6 @@ class TestFieldWrapper:
             diffusion=lambda t, x, mu: np.broadcast_to(np.eye(1), (x.shape[0], 1, 1)),
             sigma_fn=lambda t, x, mu: np.broadcast_to(np.sqrt(2) * np.eye(1), (x.shape[0], 1, 1)),
             div_a_fn=lambda t, x, mu: np.zeros_like(x),
-            bound=20.0,
             w2_lipschitz=0.5,
         )
         with pytest.raises(DynamicsError):

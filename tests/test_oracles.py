@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -351,7 +352,7 @@ class TestMismatchField:
     def test_finite_difference_divergence(self):
         # quadratic diffusion entry: a(x) = (1 + 0.1 x1^2) I has divergence
         # row (0.2 x1, 0) picked up by central differences
-        from entroflow import CoefficientField, DiniModulus
+        from entroflow import CoefficientField
 
         def diffusion(t, x):
             base = np.broadcast_to(np.eye(2), (x.shape[0], 2, 2)).copy()
@@ -363,17 +364,17 @@ class TestMismatchField:
             drift_lipschitz=lambda t, x: np.zeros_like(x),
             diffusion=diffusion,
             bound=10.0,
-            modulus=DiniModulus.power(1.0),
         )
-        f2 = heat_field(2)
         law = GaussianMeasure(np.zeros(2), np.eye(2))
         y = np.array([[1.0, 0.5]])
-        phi = mismatch_field(f1, f2, law, 0.1, y)
         # analytic: (a1 - a2) score + div(a1 - a2) with div = (d/dx1)(a1-a2)[k,1..]
         gap = 0.1 * 1.0**2
         score = score_gaussian(law, y[0])
         expect = gap * score + np.array([0.2 * 1.0, 0.0])
-        assert np.allclose(phi[0], expect, atol=1e-6)
+        # the second field with its analytic divergence, and without one
+        for f2 in (heat_field(2), dataclasses.replace(heat_field(2), div_a_fn=None)):
+            phi = mismatch_field(f1, f2, law, 0.1, y)
+            assert np.allclose(phi[0], expect, atol=1e-6)
 
 
 class TestMismatchBound:
@@ -431,7 +432,7 @@ class TestMismatchBound:
         def noise1(s):
             return math.sqrt(2.0 * (1.0 + math.sqrt(max(s, 0.0)))) * np.eye(1)
 
-        from entroflow import CoefficientField, DiniModulus
+        from entroflow import CoefficientField
 
         f1 = CoefficientField(
             dim=1,
@@ -443,7 +444,6 @@ class TestMismatchBound:
             sigma_fn=lambda tt, x: np.broadcast_to(noise1(tt), (x.shape[0], 1, 1)),
             div_a_fn=lambda tt, x: np.zeros_like(x),
             bound=10.0,
-            modulus=DiniModulus.power(1.0),
             horizon=t,
         )
         f2 = heat_field(1, 1.0, horizon=t)

@@ -9,8 +9,9 @@ Exit codes: 0 when every verdict is holds/degenerate/divergent (divergence
 can be the expected finding), 2 when any verdict is "violated", 1 on
 operational errors and bad input: a config file that does not parse, an
 unknown [run] key, a format other than json and csv, a parameter that
-does not parse, is out of range or is not finite, or a given `<tag>_<p>`
-whose catalog entry `<tag>_kind` takes no parameter p.
+does not parse, is out of range or is not finite, a vector with more
+entries than the dimension d (shorter ones are padded with zeros), or a
+given `<tag>_<p>` whose catalog entry `<tag>_kind` takes no parameter p.
 """
 
 import argparse
@@ -70,16 +71,19 @@ def _param(kind, default, help_text, choices=None):
     return {"type": kind, "default": default, "help": help_text, "choices": choices}
 
 
-def _padded(vec, d):
-    """The first d entries of vec, padded with zeros to length d."""
+def _padded(p, key, d):
+    """The vector parameter p[key] padded with zeros to length d; more than d entries raise CliError."""
+    vec = p[key]
+    if vec.size > d:
+        raise CliError(f"parameter {key!r}: {vec.size} entries, more than d={d}")
     out = np.zeros(d)
-    out[: min(d, vec.size)] = vec[:d]
+    out[: vec.size] = vec
     return out
 
 
 def _run_talagrand(p, seed):
     d = p["d"]
-    nu = GaussianMeasure(_padded(p["mean"], d), p["cov_scale"] * np.eye(d))
+    nu = GaussianMeasure(_padded(p, "mean", d), p["cov_scale"] * np.eye(d))
     rep = talagrand_experiment(nu, seed=seed)
     rows = [(0, rep.left, rep.right)]
     return rep, ("index", "w2_sq", "two_entropy"), rows
@@ -92,18 +96,6 @@ _TAL_PARAMS = {
 }
 
 
-def _linear_spec_from(p, tag, d):
-    name = p[f"{tag}_kind"]
-    return catalog.make_linear_spec(
-        name,
-        d=d,
-        horizon=max(p.get("t_max", 1.0), p.get("t1", 1.0), 1.0),
-        a=p[f"{tag}_a"],
-        rate=p[f"{tag}_rate"],
-        c=p[f"{tag}_c"],
-    )
-
-
 _SPEC_PARAMS = lambda tag: {
     f"{tag}_kind": _param(
         "str", "heat", f"catalog name: {' | '.join(catalog.LINEAR_NAMES)}", choices=catalog.LINEAR_NAMES
@@ -114,23 +106,37 @@ _SPEC_PARAMS = lambda tag: {
 }
 
 
-def _run_entropy_cost(p, seed):
+def _linear_pair_params(x2_default):
+    """The inputs of an experiment on two catalog linear flows started at two points."""
+    return {
+        "d": _param("int", 1, "dimension"),
+        **_SPEC_PARAMS("spec1"),
+        **_SPEC_PARAMS("spec2"),
+        "x1": _param("vec", "0.0", "start of flow 1 (padded with zeros to d)"),
+        "x2": _param("vec", x2_default, "start of flow 2 (padded with zeros to d)"),
+    }
+
+
+def _linear_pair(p, horizon):
+    """(spec1, spec2, x1, x2) read from _linear_pair_params; the specs are defined on [0, horizon]."""
     d = p["d"]
-    spec1 = _linear_spec_from(p, "spec1", d)
-    spec2 = _linear_spec_from(p, "spec2", d)
+    spec1, spec2 = (
+        catalog.make_linear_spec(p[f"{t}_kind"], d, horizon, a=p[f"{t}_a"], rate=p[f"{t}_rate"], c=p[f"{t}_c"])
+        for t in ("spec1", "spec2")
+    )
+    return spec1, spec2, _padded(p, "x1", d), _padded(p, "x2", d)
+
+
+def _run_entropy_cost(p, seed):
+    spec1, spec2, x1, x2 = _linear_pair(p, p["t_max"])
     t_grid = np.geomspace(p["t_min"], p["t_max"], p["n_t"])
-    x1, x2 = _padded(p["x1"], d), _padded(p["x2"], d)
     rep = entropy_cost_experiment(spec1, spec2, x1, x2, t_grid)
     rows = rep.params["grid_rows"]
     return rep, ("t", "entropy", "t_entropy"), rows
 
 
 _EC_PARAMS = {
-    "d": _param("int", 1, "dimension"),
-    **_SPEC_PARAMS("spec1"),
-    **_SPEC_PARAMS("spec2"),
-    "x1": _param("vec", "0.0", "start of flow 1 (padded with zeros to d)"),
-    "x2": _param("vec", "1.0", "start of flow 2 (padded with zeros to d)"),
+    **_linear_pair_params("1.0"),
     "t_min": _param("float", 0.01, "smallest grid time"),
     "t_max": _param("float", 1.0, "largest grid time"),
     "n_t": _param("int", 12, "log-spaced grid size"),
@@ -174,10 +180,7 @@ _MM_PARAMS = {
 
 
 def _run_bridge(p, seed):
-    d = p["d"]
-    spec1 = _linear_spec_from(p, "spec1", d)
-    spec2 = _linear_spec_from(p, "spec2", d)
-    x1, x2 = _padded(p["x1"], d), _padded(p["x2"], d)
+    spec1, spec2, x1, x2 = _linear_pair(p, p["t1"])
     rep = bridge_decomposition_experiment(spec1, spec2, x1, x2, p["t1"], p["epsilon"], p["p"])
     sweep = bridge_epsilon_sweep(spec1, spec2, x1, p["t1"], p["p"])
     rows = [(eps, first, rep.right) for eps, first in sweep]
@@ -185,11 +188,7 @@ def _run_bridge(p, seed):
 
 
 _BR_PARAMS = {
-    "d": _param("int", 1, "dimension"),
-    **_SPEC_PARAMS("spec1"),
-    **_SPEC_PARAMS("spec2"),
-    "x1": _param("vec", "0.0", "start of flow 1 (padded with zeros to d)"),
-    "x2": _param("vec", "0.0", "start of flow 2 (padded with zeros to d)"),
+    **_linear_pair_params("0.0"),
     "t1": _param("float", 1.0, "terminal time"),
     "epsilon": _param("float", 0.5, "switch fraction in (0, 1/2]"),
     "p": _param("float", 2.0, "interpolation power (> 1)"),
@@ -211,7 +210,7 @@ _LH_PARAMS = {
 
 
 def _measure_from(p, tag, d):
-    mean = _padded(p[f"{tag}_mean"], d)
+    mean = _padded(p, f"{tag}_mean", d)
     scale = p[f"{tag}_cov_scale"]
     if scale < 0:
         raise CliError(f"parameter '{tag}_cov_scale': {scale!r} is negative")

@@ -129,7 +129,8 @@ class CoefficientField:
 
     def validate(self, seed=0):
         """Sampled invariant checks at 32 random (t, x), t uniform on [0, horizon],
-        x ~ N(0, 4 I); sigma sigma^T must match 2a to 1e-8 of its largest entry."""
+        x ~ N(0, 4 I); sigma sigma^T must match 2a to 1e-8 of its largest entry.
+        A NaN value or bound fails every check."""
         rng = np.random.default_rng(seed)
         t = rng.uniform(0.0, self.horizon, 32)
         x = rng.normal(scale=2.0, size=(32, self.dim))
@@ -137,14 +138,16 @@ class CoefficientField:
         for ti, xi in zip(t, x):
             pt = xi[None, :]
             b0 = self.drift_dini(ti, pt)[0]
-            if np.linalg.norm(b0) > k * (1 + 1e-9):
+            if not np.linalg.norm(b0) <= k * (1 + 1e-9):
                 raise DynamicsError("Dini drift part exceeds the bound")
             a = self.diffusion(ti, pt)[0]
+            if not np.all(np.isfinite(a)):
+                raise DynamicsError("diffusion is not finite")
             eig = np.linalg.eigvalsh(0.5 * (a + a.T))
-            if eig[-1] > k * (1 + 1e-9) or eig[0] <= 0 or 1.0 / eig[0] > k * (1 + 1e-9):
+            if not (eig[0] > 0 and eig[-1] <= k * (1 + 1e-9) and 1.0 / eig[0] <= k * (1 + 1e-9)):
                 raise DynamicsError("diffusion norm bounds violated")
             sig = self.sigma(ti, pt)[0]
-            if np.max(np.abs(sig @ sig.T - 2.0 * a)) > 2e-8 * np.max(np.abs(a)):
+            if not np.max(np.abs(sig @ sig.T - 2.0 * a)) <= 2e-8 * np.max(np.abs(a)):
                 raise DynamicsError("sigma sigma^T != 2a within 1e-8 relative")
         # finite-difference Lipschitz quotients on random pairs
         h = rng.normal(scale=0.5, size=(32, self.dim))
@@ -159,7 +162,7 @@ class CoefficientField:
             d_a = np.linalg.norm(
                 self.diffusion(ti, yi[None, :])[0] - self.diffusion(ti, xi[None, :])[0], 2
             )
-            if d_b1 > k * (1 + LIP_TOL) * dx or d_a > k * (1 + LIP_TOL) * dx:
+            if not (d_b1 <= k * (1 + LIP_TOL) * dx and d_a <= k * (1 + LIP_TOL) * dx):
                 raise DynamicsError("sampled Lipschitz quotient exceeds the bound")
         return self
 

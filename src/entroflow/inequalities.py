@@ -20,7 +20,7 @@ from .divergence import _interpolation_right, kl_gaussian, kl_knn
 from .meanfield import _checked_grid, _grid_stats, _particle_times, evolve_particles
 from .measures import EmpiricalMeasure, GaussianMeasure, gaussian_sample
 from .oracles import bridge_law_linear, linear_sde_law, linear_sde_laws, mismatch_bound
-from .reports import ExperimentError, ExperimentReport
+from .reports import ExperimentError, ExperimentReport, classify
 from .transport import w2_empirical_ot, w2_exact, w2_gaussian
 
 __all__ = [
@@ -73,17 +73,12 @@ def talagrand_experiment(nu, seed=0):
     else:
         raise ExperimentError("nu must be a GaussianMeasure or EmpiricalMeasure")
     ratio = math.nan if left == 0 else right / left
-    verdict = None
-    if math.isinf(right):
-        verdict = "degenerate"
-        notes += "; vacuous: entropy infinite"
     return ExperimentReport(
         name="talagrand",
         params={"dim": nu.dim, "w2_sq": left, "entropy": right / 2.0, "ratio_2ent_over_w2sq": ratio},
         left=left,
         right=right,
         tolerance=tol,
-        verdict=verdict,
         notes=notes,
         seed=seed,
     )
@@ -180,8 +175,6 @@ def mismatch_singularity_experiment(cases, t, n_mc=500, seed=0, n_nodes=200):
     for the most binding finite pair.
     """
     rows = []
-    diverged_labels = []
-    binding = None
     for i, case in enumerate(cases):
         res = mismatch_bound(
             case.field1, case.field2, t, case.law_provider, n_mc=n_mc, seed=seed + i, n_nodes=n_nodes
@@ -194,29 +187,28 @@ def mismatch_singularity_experiment(cases, t, n_mc=500, seed=0, n_nodes=200):
                 "diverged": res.diverged,
             }
         )
-        if res.diverged:
-            diverged_labels.append(rows[-1]["label"])
-        elif case.true_entropy is not None:
-            gap = case.true_entropy - res.value
-            if binding is None or gap > binding[0]:
-                binding = (gap, case.true_entropy, res.value, rows[-1]["label"])
-    params = {"t": t, "n_mc": n_mc, "cases": rows}
+    diverged_labels = [row["label"] for row in rows if row["diverged"]]
+    finite = [row for row in rows if not row["diverged"] and row["true_entropy"] is not None]
     tol = 1e-9
-    if binding is None:
-        # no finite bound to compare against: report the largest known entropy
-        known = [case.true_entropy for case in cases if case.true_entropy is not None]
-        left, right = max(known, default=0.0), math.inf if diverged_labels else 0.0
+    if finite:
+        # the largest true entropy - bound gap; max keeps the first of ties and a NaN only in first place
+        binding = max(finite, key=lambda row: row["true_entropy"] - row["bound"])
+        left, right = binding["true_entropy"], binding["bound"]
     else:
-        left, right = binding[1], binding[2]
+        # no finite bound to compare against: report the largest known entropy
+        known = [row["true_entropy"] for row in rows if row["true_entropy"] is not None]
+        left, right = max(known, default=0.0), math.inf if diverged_labels else 0.0
     if diverged_labels:
         verdict, notes = "divergent", f"divergence flag raised for: {', '.join(diverged_labels)}"
-    elif binding is None:
+    elif not finite:
         verdict, notes = "degenerate", "no pair supplies a true entropy: nothing to compare"
+    elif classify(left, right, tol) == "holds":
+        verdict, notes = "holds", "finite bound dominates the true entropy for every pair"
     else:
-        verdict, notes = None, "finite bound dominates the true entropy for every pair"
-    report = ExperimentReport(
+        verdict, notes = "violated", f"true entropy of {binding['label']} exceeds its finite bound"
+    return ExperimentReport(
         name="mismatch_singularity",
-        params=params,
+        params={"t": t, "n_mc": n_mc, "cases": rows},
         left=left,
         right=right,
         tolerance=tol,
@@ -224,9 +216,6 @@ def mismatch_singularity_experiment(cases, t, n_mc=500, seed=0, n_nodes=200):
         notes=notes,
         seed=seed,
     )
-    if report.verdict == "violated":
-        report.notes = f"true entropy of {binding[3]} exceeds its finite bound"
-    return report
 
 
 # --------------------------------------------------------------------------

@@ -84,7 +84,7 @@ class MVCoefficientField:
 
     def validate(self, seed=0):
         """Sampled check of the w2_lipschitz bound on 16 random cloud pairs,
-        at t uniform on [0, 1] and 8 points x ~ N(0, 4 I) each."""
+        at t uniform on [0, 1] and 8 points x ~ N(0, 4 I) each; a NaN fails it."""
         rng = np.random.default_rng(seed)
         kw2 = self.w2_lipschitz
         for _ in range(16):
@@ -99,7 +99,7 @@ class MVCoefficientField:
             db = np.max(np.linalg.norm(self.drift(t, x, nu) - self.drift(t, x, mu), axis=1))
             da = np.max(np.abs(self.diffusion(t, x, nu) - self.diffusion(t, x, mu)))
             dd = np.max(np.linalg.norm(self.div_a(t, x, nu) - self.div_a(t, x, mu), axis=1))
-            if max(db, da, dd) > kw2 * w2 * (1.0 + LIP_TOL):
+            if not np.max([db, da, dd]) <= kw2 * w2 * (1.0 + LIP_TOL):
                 raise DynamicsError("sampled measure-Lipschitz bound violated")
         return self
 

@@ -164,7 +164,8 @@ def _moment_path(spec, m0, c0, t_start, times):
 
     Constant coefficients use the Van Loan closed form over each t - t_start.
     Callable coefficients are integrated forward once across the times; the
-    span up to each time takes _rk4_steps(span, spec.horizon) equal steps.
+    span up to each time takes _rk4_steps(span, spec.horizon) equal steps, their
+    stage times counted from the span start and the last one the queried time.
     A, c and S S' are evaluated once per distinct stage time: k2 and k3
     share the midpoint, and k4's endpoint values are the next step's k1, so
     a span of n steps makes 2n + 1 calls to each coefficient function.
@@ -189,16 +190,15 @@ def _moment_path(spec, m0, c0, t_start, times):
         n = _rk4_steps(t_end - t, spec.horizon)
         h = (t_end - t) / n
         k_start = coefficients(t)
-        for _ in range(n):
-            k_mid = coefficients(t + 0.5 * h)
-            k_end = coefficients(t + h)
+        for i in range(n):
+            k_mid = coefficients(t + (i + 0.5) * h)
+            k_end = coefficients(t_end if i == n - 1 else t + (i + 1) * h)
             k1m, k1c = rhs(k_start, m, cov)
             k2m, k2c = rhs(k_mid, m + 0.5 * h * k1m, cov + 0.5 * h * k1c)
             k3m, k3c = rhs(k_mid, m + 0.5 * h * k2m, cov + 0.5 * h * k2c)
             k4m, k4c = rhs(k_end, m + h * k3m, cov + h * k3c)
             m = m + (h / 6.0) * (k1m + 2 * k2m + 2 * k3m + k4m)
             cov = cov + (h / 6.0) * (k1c + 2 * k2c + 2 * k3c + k4c)
-            t += h
             k_start = k_end
         out.append((m, 0.5 * (cov + cov.T)))
         t = t_end

@@ -7,9 +7,9 @@ extended reals, so an infinite right side holds vacuously and a NaN side is
 violated.  An experiment declares only the outcomes its values cannot show:
 "degenerate" (0/0 ratios, inconclusive estimates) and "divergent" (a
 flagged divergent bound).  The tolerance must be a nonnegative number.
-validate_report_dict enforces the rules of docs/experiment_report.schema.json
-on a decoded report; it lets an infinite left or right through, which strict
-JSON cannot carry.
+The report format is one table, _FORMAT, that encoding, decoding and
+validate_report_dict all read; it lets an infinite left or right through,
+which strict JSON cannot carry.
 """
 
 import csv
@@ -22,19 +22,28 @@ import numpy as np
 
 VERDICTS = ("holds", "violated", "degenerate", "divergent")
 
-#: the keys of the report JSON schema, no more and no fewer
-_JSON_KEYS = (
-    "name",
-    "params",
-    "left",
-    "right",
-    "margin",
-    "tolerance",
-    "verdict",
-    "notes",
-    "seed",
-    "timestamp",
-)
+
+def _is_number(v):
+    # bool is an int subclass in Python but not a JSON number
+    return isinstance(v, (int, float)) and not isinstance(v, bool)
+
+
+#: the report format: each key of docs/experiment_report.schema.json, no more
+#: and no fewer, with (test on the decoded value, what the schema requires)
+_FORMAT = {
+    "name": (lambda v: isinstance(v, str), "a string"),
+    "params": (lambda v: isinstance(v, dict), "an object"),
+    "left": (_is_number, "a number"),
+    "right": (_is_number, "a number"),
+    "margin": (lambda v: v is None or _is_number(v), "a number or null"),
+    "tolerance": (lambda v: _is_number(v) and v >= 0, "a number >= 0"),
+    "verdict": (lambda v: v in VERDICTS, f"one of {VERDICTS}"),
+    "notes": (lambda v: isinstance(v, str), "a string"),
+    "seed": (lambda v: v is None or (_is_number(v) and isinstance(v, int)), "an integer or null"),
+    "timestamp": (lambda v: isinstance(v, str), "a string"),
+}
+#: keys a decoded report may leave out; the dataclass defaults fill them
+_OPTIONAL = ("notes", "seed", "timestamp")
 
 
 class ExperimentError(ValueError):
@@ -95,35 +104,16 @@ class ExperimentReport:
         return self
 
     def to_json_dict(self):
-        return {
-            "name": self.name,
-            "params": self.params,
-            "left": self.left,
-            "right": self.right,
-            "margin": None if math.isnan(self.margin) else self.margin,
-            "tolerance": self.tolerance,
-            "verdict": self.verdict,
-            "notes": self.notes,
-            "seed": self.seed,
-            "timestamp": self.timestamp,
-        }
+        d = {key: getattr(self, key) for key in _FORMAT}
+        return d | {"margin": None if math.isnan(d["margin"]) else d["margin"]}
 
     def to_json(self):
         return json.dumps(self.to_json_dict(), indent=2, sort_keys=True)
 
     @classmethod
     def from_json_dict(cls, d):
-        return cls(
-            name=d["name"],
-            params=d["params"],
-            left=d["left"],
-            right=d["right"],
-            tolerance=d["tolerance"],
-            verdict=d["verdict"],
-            notes=d.get("notes", ""),
-            seed=d.get("seed"),
-            timestamp=d.get("timestamp", ""),
-        )
+        """The report d encodes; margin is derived and the _OPTIONAL keys may be absent."""
+        return cls(**{k: d[k] for k in _FORMAT if k != "margin" and (k in d or k not in _OPTIONAL)})
 
 
 def write_plot_csv(path, header, rows):
@@ -137,32 +127,15 @@ def write_plot_csv(path, header, rows):
             )
 
 
-def _is_number(v):
-    # bool is an int subclass in Python but not a JSON number
-    return isinstance(v, (int, float)) and not isinstance(v, bool)
-
-
 def validate_report_dict(d):
     """Check a decoded report against docs/experiment_report.schema.json."""
-    missing = [k for k in _JSON_KEYS if k not in d]
+    missing = [k for k in _FORMAT if k not in d]
     if missing:
         raise ValueError(f"report missing keys: {missing}")
-    unexpected = sorted(set(d) - set(_JSON_KEYS))
+    unexpected = sorted(set(d) - set(_FORMAT))
     if unexpected:
         raise ValueError(f"report has unexpected keys: {unexpected}")
-    if not isinstance(d["name"], str) or not isinstance(d["params"], dict):
-        raise ValueError("name must be a string and params an object")
-    for key in ("left", "right", "tolerance"):
-        if not _is_number(d[key]):
-            raise ValueError(f"{key} must be a number")
-    if not d["tolerance"] >= 0:
-        raise ValueError("tolerance must be >= 0")
-    if d["margin"] is not None and not _is_number(d["margin"]):
-        raise ValueError("margin must be a number or null")
-    if d["verdict"] not in VERDICTS:
-        raise ValueError(f"verdict must be one of {VERDICTS}")
-    if not isinstance(d["notes"], str) or not isinstance(d["timestamp"], str):
-        raise ValueError("notes and timestamp must be strings")
-    if d["seed"] is not None and (not isinstance(d["seed"], int) or isinstance(d["seed"], bool)):
-        raise ValueError("seed must be an integer or null")
+    for key, (test, requirement) in _FORMAT.items():
+        if not test(d[key]):
+            raise ValueError(f"{key} must be {requirement}, got {d[key]!r}")
     return True

@@ -121,25 +121,26 @@ def rk4_moments_fixed(a_fn, c_fn, s_fn, m0, c0, t_start, tau, n_steps=800):
     """(m, C) of dX = (A X + c) dt + S dW after tau, by n_steps fixed RK4 steps.
 
     The loop the package used before its moment path: every stage calls the
-    coefficient functions afresh.
+    coefficient functions afresh.  Step i runs from t_start + i h to
+    t_start + (i + 1) h, and the last step ends exactly at t_start + tau.
     """
     m, cov = m0.copy(), c0.copy()
     h = tau / n_steps
+    t_end = t_start + tau
 
     def rhs(t, m, cov):
         a = a_fn(t)
         s = s_fn(t)
         return a @ m + c_fn(t), a @ cov + cov @ a.T + s @ s.T
 
-    t = t_start
-    for _ in range(n_steps):
+    for i in range(n_steps):
+        t = t_start + i * h
         k1m, k1c = rhs(t, m, cov)
-        k2m, k2c = rhs(t + 0.5 * h, m + 0.5 * h * k1m, cov + 0.5 * h * k1c)
-        k3m, k3c = rhs(t + 0.5 * h, m + 0.5 * h * k2m, cov + 0.5 * h * k2c)
-        k4m, k4c = rhs(t + h, m + h * k3m, cov + h * k3c)
+        k2m, k2c = rhs(t_start + (i + 0.5) * h, m + 0.5 * h * k1m, cov + 0.5 * h * k1c)
+        k3m, k3c = rhs(t_start + (i + 0.5) * h, m + 0.5 * h * k2m, cov + 0.5 * h * k2c)
+        k4m, k4c = rhs(t_end if i == n_steps - 1 else t_start + (i + 1) * h, m + h * k3m, cov + h * k3c)
         m = m + (h / 6.0) * (k1m + 2 * k2m + 2 * k3m + k4m)
         cov = cov + (h / 6.0) * (k1c + 2 * k2c + 2 * k3c + k4c)
-        t += h
     return m, 0.5 * (cov + cov.T)
 
 

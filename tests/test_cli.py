@@ -1,9 +1,10 @@
+import csv
 import json
 import re
 
 import pytest
 
-from entroflow import validate_report_dict
+from entroflow import ExperimentReport, validate_report_dict
 from entroflow.catalog import make_field, make_linear_spec, make_mv_field
 from entroflow.cli import _MISMATCH_SECOND, EXPERIMENTS, main
 
@@ -101,6 +102,12 @@ class TestRun:
             ("entropy_cost", "spec1_rate=5", "'spec1_rate': spec1_kind 'heat' takes no 'rate'"),
             ("entropy_cost", "spec2_kind=ou spec2_c=0.5", "'spec2_c': spec2_kind 'ou' takes no 'c'"),
             ("bridge_decomposition", "spec1_kind=drift-gap spec1_rate=2", "'spec1_rate': spec1_kind 'drift-gap'"),
+            # a vector longer than d is not cut to fit
+            ("talagrand", "d=1 mean=1,2", "'mean'"),
+            ("entropy_cost", "x2=1,5", "'x2'"),
+            ("bridge_decomposition", "d=2 x1=1,2,3", "'x1'"),
+            ("meanfield_entropy_cost", "nu1_mean=0,1", "'nu1_mean'"),
+            ("meanfield_entropy_cost", "nu2_mean=1,0", "'nu2_mean'"),
         ]
         for experiment, settings, named in cases:
             capsys.readouterr()
@@ -230,6 +237,21 @@ class TestRun:
             assert main(args) == 0, experiment
             report = json.loads((out / f"{experiment}_report.json").read_text())
             assert validate_report_dict(report)
+
+    @pytest.mark.parametrize("experiment", list(EXPERIMENTS))
+    def test_default_run_holds_and_round_trips(self, tmp_path, experiment):
+        # every experiment at defaults (mismatch: the drift-gap pair) holds,
+        # writes a schema-valid report and a CSV with rows, and its report
+        # decodes and re-encodes to the same JSON
+        out = tmp_path / "out"
+        assert main(["run", "--experiment", experiment, "--out", str(out)]) == 0
+        text = (out / f"{experiment}_report.json").read_text()
+        report = json.loads(text)
+        assert validate_report_dict(report) and report["verdict"] == "holds"
+        assert ExperimentReport.from_json_dict(report).to_json() + "\n" == text
+        with open(out / f"{experiment}_plot.csv", newline="") as fh:
+            header, *rows = list(csv.reader(fh))
+        assert len(header) == 3 and rows and all(len(row) == 3 for row in rows)
 
     def test_offered_catalog_names_build(self):
         # each catalog name offered as a choice builds through the lookup the run passes it to

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import tracemalloc
 
@@ -63,6 +64,20 @@ class TestCoefficientField:
         )
         with pytest.raises(DynamicsError):
             bad.validate()
+
+    def test_nan_fails_every_bound_check(self):
+        # value > bound is false for NaN; each sampled check must fail on it instead
+        nan = float("nan")
+        heat = heat_field(1)
+        fields = [
+            dini_power_drift_field(1, gamma=nan),  # NaN drift, finite bound
+            dataclasses.replace(heat, bound=nan),
+            dataclasses.replace(heat, diffusion=lambda t, x: np.full((x.shape[0], 1, 1), nan)),
+            dataclasses.replace(heat, drift_lipschitz=lambda t, x: np.full_like(x, nan)),
+        ]
+        for field in fields:
+            with pytest.raises(DynamicsError):
+                field.validate()
 
     def test_sigma_mismatch_caught(self):
         # 1e-7 of 2a off: above the check's 1e-8 relative tolerance

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -180,6 +181,21 @@ class TestMismatchSingularity:
         rep = mismatch_singularity_experiment([drift], t, n_mc=200, seed=1, n_nodes=16)
         assert rep.verdict == "holds"
         assert rep.notes == "finite bound dominates the true entropy for every pair"
+
+    def test_nan_finite_bound_is_violated(self):
+        # a NaN drift makes the bound NaN without tripping the divergence
+        # flag: the comparison against the true entropy is violated, and the
+        # note names the pair whose finite bound it exceeds
+        t = 0.5
+        drift = self._case("drift-gap", t)
+        nan_field = dataclasses.replace(drift.field2, drift_dini=lambda s, x: np.full_like(x, np.nan))
+        nan_case = MismatchCase(drift.field1, nan_field, drift.law_provider, drift.true_entropy, "nan")
+        rep = mismatch_singularity_experiment([nan_case, drift], t, n_mc=50, seed=1, n_nodes=16)
+        row = rep.params["cases"][0]
+        assert math.isnan(row["bound"]) and not row["diverged"]
+        assert rep.verdict == "violated"
+        assert rep.left == drift.true_entropy and math.isnan(rep.right)
+        assert rep.notes == "true entropy of nan exceeds its finite bound"
 
     def test_no_true_entropy_is_degenerate(self):
         # a finite bound with nothing to compare it to is not a "holds"

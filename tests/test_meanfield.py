@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -44,6 +45,12 @@ class TestFieldWrapper:
         mean_field_ou(2, rate=0.7, a_scale=1.0).validate(seed=2)
         # rate*(mean - x) is |rate|-Lipschitz in W2 whatever the sign of rate
         mean_field_ou(1, rate=-1.0, a_scale=0.5).validate(seed=1)
+
+    def test_nan_fails_the_measure_lipschitz_check(self):
+        with pytest.raises(DynamicsError):
+            mean_field_ou(1, rate=float("nan")).validate()
+        with pytest.raises(DynamicsError):
+            dataclasses.replace(mean_field_ou(1), w2_lipschitz=float("nan")).validate()
 
     def test_from_static_div_a_is_the_static_rule(self):
         # no analytic divergence: the wrapper's central differences are the static field's own

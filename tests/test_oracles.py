@@ -207,6 +207,22 @@ class TestMomentPath:
             assert np.array_equal(law.mean, m)
             assert np.array_equal(law.cov, cov)
 
+    def test_stage_times_stay_within_the_horizon(self):
+        # horizons where stepping by t += h ended the last step an ulp past
+        # the horizon; noise sqrt(H - t) is defined on [0, H] only
+        for horizon in np.linspace(0.01, 2.0, 400)[[0, 2, 3, 10]]:
+            times = []
+
+            def noise(t, horizon=horizon):
+                times.append(t)
+                return np.sqrt(horizon - t) * np.eye(1)
+
+            spec = LinearSDESpec.from_point([0.0], 0.0, 0.0, noise, horizon=horizon)
+            law = linear_sde_law(spec, horizon)
+            assert max(times) == horizon
+            # C(H) = int_0^H (H - s) ds, which RK4 integrates exactly
+            assert law.cov[0, 0] == pytest.approx(horizon**2 / 2, rel=1e-12)
+
     def test_bridge_spans_follow_each_horizon(self):
         s1, fns1 = _td_ou_spec(1.0, counted=True)
         s2, fns2 = _td_ou_spec(2.0, counted=True)

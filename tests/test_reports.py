@@ -4,7 +4,7 @@ import math
 import pytest
 
 from entroflow import ExperimentReport, classify, validate_report_dict
-from entroflow.reports import VERDICTS, write_plot_csv
+from entroflow.reports import _FORMAT, VERDICTS, write_plot_csv
 
 
 class TestClassify:
@@ -68,7 +68,19 @@ class TestReport:
 
     @pytest.mark.parametrize(
         "key, value",
-        [("extra", 1), ("tolerance", -0.5), ("tolerance", math.nan), ("left", True), ("seed", False)],
+        [
+            ("extra", 1),
+            ("tolerance", -0.5),
+            ("tolerance", math.nan),
+            ("left", True),
+            ("seed", False),
+            ("name", 1),
+            ("params", []),
+            ("margin", "x"),
+            ("verdict", "maybe"),
+            ("notes", 1),
+            ("timestamp", None),
+        ],
     )
     def test_schema_rejects_what_the_schema_file_rejects(self, key, value):
         d = json.loads(self._rep().stamp().to_json())
@@ -83,11 +95,26 @@ class TestReport:
         with open(os.path.join(here, "docs", "experiment_report.schema.json")) as fh:
             schema = json.load(fh)
         d = json.loads(self._rep().stamp().to_json())
-        assert set(schema["required"]) == set(d)
-        assert set(schema["properties"]) == set(d)
+        assert set(schema["required"]) == set(d) == set(_FORMAT)
+        assert list(schema["properties"]) == list(_FORMAT)
         assert tuple(schema["properties"]["verdict"]["enum"]) == VERDICTS
         assert schema["properties"]["tolerance"]["minimum"] == 0
         assert schema["additionalProperties"] is False
+        # each table test accepts one sample of a JSON type iff the schema file's type or enum does
+        samples = {"string": "s", "object": {}, "array": [], "boolean": True, "null": None, "integer": 3, "number": 0.5}
+        for key, (test, _) in _FORMAT.items():
+            prop = schema["properties"][key]
+            if "enum" in prop:
+                assert all(test(v) for v in prop["enum"]), key
+                assert not any(test(v) for v in samples.values()), key
+                continue
+            types = set(prop["type"]) if isinstance(prop["type"], list) else {prop["type"]}
+            if "number" in types:
+                types.add("integer")
+            for kind, value in samples.items():
+                assert test(value) == (kind in types), (key, kind)
+            if "minimum" in prop:
+                assert test(prop["minimum"]) and not test(prop["minimum"] - 0.5), key
 
     def test_plot_csv(self, tmp_path):
         path = tmp_path / "plot.csv"

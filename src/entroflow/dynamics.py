@@ -270,11 +270,21 @@ def refine_grid(times, t_insert):
     return np.insert(times, np.searchsorted(times, t_insert), t_insert)
 
 
+def _noise(sig, dw):
+    """sigma dW per row.  A sigma that broadcasts one diagonal matrix over the
+    rows (stride 0), as every catalog field's does, scales dW by its diagonal;
+    any other sigma is applied by einsum.  Both give the same values."""
+    if isinstance(sig, np.ndarray) and sig.strides[0] == 0:
+        diag = np.diagonal(sig[0])
+        if np.count_nonzero(sig[0]) == np.count_nonzero(diag):
+            return dw * diag
+    return np.einsum("nij,nj->ni", sig, dw)
+
+
 def _step(x, t, h, drift_fn, sigma_fn, dw):
     """Euler-Maruyama step: x + b(t,x) h + sigma(t,x) dW."""
     b = drift_fn(t, x)
-    sig = sigma_fn(t, x)
-    return x + b * h + np.einsum("nij,nj->ni", sig, dw)
+    return x + b * h + _noise(sigma_fn(t, x), dw)
 
 
 def _checked_grid(times):
@@ -369,7 +379,7 @@ def synchronous_pair(field1, field2, x1, x2, times, seed, n_pairs=1):
         b1, sig1 = field1.drift(t, x), field1.sigma(t, x)
         db = b1 - field2.drift(t, y)
         dsig = sig1 - field2.sigma(t, y)
-        x_new = x + b1 * h + np.einsum("nij,nj->ni", sig1, dw)
+        x_new = x + b1 * h + _noise(sig1, dw)
         return np.hstack([x_new, diff + db * h + np.einsum("nij,nj->ni", dsig, dw)])
 
     stacked = _integrate(state0, times, advance, seed, 0, d)

@@ -155,13 +155,21 @@ def entropy_cost_experiment(spec1, spec2, x1, x2, t_grid):
 
 @dataclass
 class MismatchCase:
-    """One field pair for the entropy-bound experiment."""
+    """One pair for the entropy-bound experiment: two coefficient fields with
+    the law_provider of the first, or two LinearSDESpecs and no provider
+    (see oracles.mismatch_bound)."""
 
     field1: object
     field2: object
-    law_provider: Callable
+    law_provider: Optional[Callable] = None
     true_entropy: Optional[float] = None
     label: str = ""
+
+
+def _gap(row):
+    """true entropy - bound of a row; a NaN gap is +inf, since what cannot be compared cannot hold."""
+    gap = row["true_entropy"] - row["bound"]
+    return math.inf if math.isnan(gap) else gap
 
 
 def mismatch_singularity_experiment(cases, t, n_mc=500, seed=0, n_nodes=200):
@@ -172,7 +180,9 @@ def mismatch_singularity_experiment(cases, t, n_mc=500, seed=0, n_nodes=200):
     divergence flag.  The report verdict is "divergent" when any pair
     diverged (the expected finding for a gap), "degenerate" when no pair
     supplies a true entropy (nothing is compared), otherwise the comparison
-    for the most binding finite pair.
+    for the most binding finite pair, where a NaN bound binds first and is
+    violated.  n_mc is the Monte Carlo draw count per node of field pairs;
+    a pair of LinearSDESpecs is evaluated exactly.
     """
     rows = []
     for i, case in enumerate(cases):
@@ -191,8 +201,8 @@ def mismatch_singularity_experiment(cases, t, n_mc=500, seed=0, n_nodes=200):
     finite = [row for row in rows if not row["diverged"] and row["true_entropy"] is not None]
     tol = 1e-9
     if finite:
-        # the largest true entropy - bound gap; max keeps the first of ties and a NaN only in first place
-        binding = max(finite, key=lambda row: row["true_entropy"] - row["bound"])
+        # the largest true entropy - bound gap; max keeps the first of ties
+        binding = max(finite, key=_gap)
         left, right = binding["true_entropy"], binding["bound"]
     else:
         # no finite bound to compare against: report the largest known entropy

@@ -14,7 +14,8 @@ horizon / RK4_STEPS, and a law at t = horizon takes exactly RK4_STEPS steps.
 The coefficients are evaluated once per distinct stage time.  On top of the
 laws the module provides the Gaussian score, the generator-mismatch field
 between two coefficient fields, the induced entropy upper bound with its
-short-time divergence probe, and the switched-generator (bridge) law.
+short-time divergence probe (by Monte Carlo for two fields, exact for two
+linear specs), and the switched-generator (bridge) law.
 """
 
 import math
@@ -25,7 +26,7 @@ import numpy as np
 from scipy.linalg import expm
 
 from ._rng import DRAW, _rekeyed
-from .measures import GaussianMeasure, MeasureError, _gaussian_points
+from .measures import SPD_RTOL, GaussianMeasure, MeasureError, _gaussian_points
 from .dynamics import DynamicsError
 
 __all__ = [
@@ -127,27 +128,32 @@ class LinearSDESpec:
         return self._parts
 
 
-def _propagate_const(a, c, q, m0, c0, tau):
-    """Exact (m, C) transport over time tau for constant coefficients.
+def _propagate_const(a, c, q, m0, c0, taus):
+    """Exact (m, C) transport over each time span of taus for constant
+    coefficients, stacked: means (n, d) and covariances (n, d, d).
 
     Van Loan blocks: expm([[A, Q], [0, -A']] tau) has top-right block
     G with G expm(A' tau) = int_0^tau expm(A s) Q expm(A' s) ds, and
     expm([[A, I], [0, 0]] tau) has top-right block int_0^tau expm(A s) ds.
+    Each expm takes every span at once; scipy exponentiates a stack one
+    matrix at a time, so each slice equals its own single-matrix call.
     """
     d = m0.size
-    ea = expm(a * tau)
+    taus = np.asarray(taus, dtype=float)[:, None, None]
+    ea = expm(a * taus)
+    ea_t = ea.transpose(0, 2, 1)
     blk = np.zeros((2 * d, 2 * d))
     blk[:d, :d] = a
     blk[:d, d:] = np.eye(d)
-    int_ea = expm(blk * tau)[:d, d:]
+    int_ea = expm(blk * taus)[:, :d, d:]
     m = ea @ m0 + int_ea @ c
     blk2 = np.zeros((2 * d, 2 * d))
     blk2[:d, :d] = a
     blk2[:d, d:] = q
     blk2[d:, d:] = -a.T
-    conv = expm(blk2 * tau)[:d, d:] @ ea.T
-    cov = ea @ c0 @ ea.T + conv
-    return m, 0.5 * (cov + cov.T)
+    conv = expm(blk2 * taus)[:, :d, d:] @ ea_t
+    cov = ea @ c0 @ ea_t + conv
+    return m, 0.5 * (cov + cov.transpose(0, 2, 1))
 
 
 def _rk4_steps(tau, horizon):
@@ -160,9 +166,10 @@ def _rk4_steps(tau, horizon):
 
 
 def _moment_path(spec, m0, c0, t_start, times):
-    """(m, C) of spec's dynamics at each sorted time, started from (m0, C0) at t_start.
+    """(m, C) of spec's dynamics at each sorted time, started from (m0, C0) at
+    t_start, stacked: means (n, d) and covariances (n, d, d).
 
-    Constant coefficients use the Van Loan closed form over each t - t_start.
+    Constant coefficients use the Van Loan closed form over all t - t_start at once.
     Callable coefficients are integrated forward once across the times; the
     span up to each time takes _rk4_steps(span, spec.horizon) equal steps, their
     stage times counted from the span start and the last one the queried time.
@@ -174,7 +181,7 @@ def _moment_path(spec, m0, c0, t_start, times):
     if const:
         s = s_fn(0.0)
         a, c, q = a_fn(0.0), c_fn(0.0), s @ s.T
-        return [_propagate_const(a, c, q, m0, c0, t - t_start) for t in times]
+        return _propagate_const(a, c, q, m0, c0, np.asarray(times, dtype=float) - t_start)
 
     def coefficients(t):
         s = s_fn(t)
@@ -184,7 +191,7 @@ def _moment_path(spec, m0, c0, t_start, times):
         a, c, q = coef
         return a @ m + c, a @ cov + cov @ a.T + q
 
-    out = []
+    means, covs = [], []
     m, cov, t = m0, c0, t_start
     for t_end in times:
         n = _rk4_steps(t_end - t, spec.horizon)
@@ -200,9 +207,10 @@ def _moment_path(spec, m0, c0, t_start, times):
             m = m + (h / 6.0) * (k1m + 2 * k2m + 2 * k3m + k4m)
             cov = cov + (h / 6.0) * (k1c + 2 * k2c + 2 * k3c + k4c)
             k_start = k_end
-        out.append((m, 0.5 * (cov + cov.T)))
+        means.append(m)
+        covs.append(0.5 * (cov + cov.T))
         t = t_end
-    return out
+    return np.array(means), np.array(covs)
 
 
 def _law_at(m, cov, t):
@@ -240,8 +248,8 @@ def linear_sde_laws(spec, times):
     if n_zero and np.all(spec.initial_cov == 0.0):
         raise OracleError("law at t=0 for a point start is a point mass, not a Gaussian")
     start = [GaussianMeasure(spec.initial_mean, spec.initial_cov) for _ in range(n_zero)]
-    path = _moment_path(spec, spec.initial_mean, spec.initial_cov, 0.0, times[n_zero:])
-    return start + [_law_at(m, cov, t) for (m, cov), t in zip(path, times[n_zero:])]
+    means, covs = _moment_path(spec, spec.initial_mean, spec.initial_cov, 0.0, times[n_zero:])
+    return start + [_law_at(m, cov, t) for m, cov, t in zip(means, covs, times[n_zero:])]
 
 
 def score_gaussian(g, y):
@@ -294,8 +302,8 @@ class MismatchBound:
 
 
 def _node_values(field1, field2, law_provider, mids, keys, n_mc, seed):
-    """0.5 E|a2^{-1/2} Phi(s, X_s)|^2 at each time s of mids; node j draws from
-    the substream with index keys[j]."""
+    """0.5 E|a2^{-1/2} Phi(s, X_s)|^2 at each time s of mids by Monte Carlo;
+    node j draws from the substream with index keys[j]."""
     vals = np.empty(mids.size)
     for j, (s, rng) in enumerate(zip(mids, _rekeyed(seed, DRAW, keys))):
         law = law_provider(s)
@@ -309,12 +317,53 @@ def _node_values(field1, field2, law_provider, mids, keys, n_mc, seed):
     return vals
 
 
-def mismatch_bound(field1, field2, t, law_provider, n_mc=500, seed=0, n_nodes=200):
+def _coefficients_at(spec, times):
+    """A (n, d, d), c (n, d, 1) and a = S S'/2 (n, d, d) of spec at each time;
+    a constant spec gives one slice that broadcasts over the times."""
+    a_fn, c_fn, s_fn, const = spec.parts()
+    at = [0.0] if const else times
+    s = np.array([s_fn(u) for u in at], dtype=float)
+    a_mat = np.array([a_fn(u) for u in at], dtype=float)
+    c = np.array([c_fn(u) for u in at], dtype=float)[:, :, None]
+    return a_mat, c, 0.5 * (s @ s.transpose(0, 2, 1))
+
+
+def _linear_node_values(spec1, spec2, mids):
+    """0.5 E|a2^{-1/2} Phi(s, X_s)|^2 at each time s of mids, exactly, for two
+    linear specs, the first giving the law X_s ~ N(m, C).
+
+    Phi(s, y) = M y + v is affine with M = (A2 - A1) - (a1 - a2) C^{-1} and
+    M m + v = (A2 - A1) m + c2 - c1, so each value is
+    0.5 [(M m + v)' a2^{-1} (M m + v) + tr(a2^{-1} M C M')], all nodes stacked.
+    """
+    laws = linear_sde_laws(spec1, mids)
+    m = np.array([law.mean for law in laws])[:, :, None]
+    cov = np.array([law.cov for law in laws])
+    a_mat1, c1, a1 = _coefficients_at(spec1, mids)
+    a_mat2, c2, a2 = _coefficients_at(spec2, mids)
+    eig = np.linalg.eigvalsh(a2)
+    if not np.all(eig[:, 0] > SPD_RTOL * eig[:, -1]):
+        raise OracleError("the second diffusion matrix a2 is singular")
+    a2_inv = np.linalg.inv(a2)
+    gap = a_mat2 - a_mat1
+    mat = gap - (a1 - a2) @ np.linalg.inv(cov)
+    shift = gap @ m + (c2 - c1)
+    quad = (shift.transpose(0, 2, 1) @ a2_inv @ shift)[:, 0, 0]
+    spread = np.trace(a2_inv @ mat @ cov @ mat.transpose(0, 2, 1), axis1=1, axis2=2)
+    return 0.5 * (quad + spread)
+
+
+def mismatch_bound(field1, field2, t, law_provider=None, n_mc=500, seed=0, n_nodes=200):
     """Entropy upper bound (1/2) int_0^t E |a2^{-1/2} Phi(s, X_s^1)|^2 ds.
 
-    The initial law of the first diffusion is embodied by law_provider(s),
-    which must give its law at time s as a GaussianMeasure (it supplies the
-    score and the Monte Carlo draws); any other return raises OracleError.
+    For two coefficient fields, law_provider(s) must give the law of the
+    first diffusion at time s as a GaussianMeasure (it supplies the score and
+    the Monte Carlo draws, n_mc per node); any other return raises
+    OracleError.  For two LinearSDESpecs, which take no law_provider, the
+    laws are the first spec's own and each node's expectation is exact
+    (_linear_node_values): no draws, so n_mc and seed are not read.  Their
+    dimensions must agree and both horizons must reach t; a singular a2 or a
+    non-SPD covariance raises OracleError.
 
     Time quadrature is a midpoint rule on n_nodes geometrically refined
     intervals with smallest node t*1e-4; probe decades extend down to t*1e-12
@@ -325,7 +374,17 @@ def mismatch_bound(field1, field2, t, law_provider, n_mc=500, seed=0, n_nodes=20
     """
     if t <= 0:
         raise OracleError("need t > 0")
-    if not callable(law_provider):
+    linear = isinstance(field1, LinearSDESpec)
+    if isinstance(field2, LinearSDESpec) != linear:
+        raise OracleError("mismatch_bound needs two LinearSDESpecs or two coefficient fields")
+    if linear:
+        if law_provider is not None:
+            raise OracleError("two LinearSDESpecs take no law_provider: the first spec gives the laws")
+        if field1.dim != field2.dim:
+            raise OracleError("spec dimensions differ")
+        for spec in (field1, field2):
+            _check_times([t], spec.horizon)
+    elif not callable(law_provider):
         raise OracleError("law_provider must be callable")
     main = t * (1e-4 ** (1.0 - np.arange(n_nodes + 1) / n_nodes))
     # one ascending grid: the probe decades below the main grid, 8
@@ -336,8 +395,12 @@ def mismatch_bound(field1, field2, t, law_provider, n_mc=500, seed=0, n_nodes=20
     probe = [np.geomspace(t * 10.0 ** -(dec + 1), t * 10.0 ** -dec, 9) for dec in decades]
     lo = np.concatenate([edges[:-1] for edges in probe] + [main[:-1]])
     hi = np.concatenate([edges[1:] for edges in probe] + [main[1:]])
-    keys = [10_000 + 8 * (dec - 4) + j for dec in decades for j in range(8)] + list(range(n_nodes))
-    integrand = _node_values(field1, field2, law_provider, 0.5 * (lo + hi), keys, n_mc, seed)
+    mids = 0.5 * (lo + hi)
+    if linear:
+        integrand = _linear_node_values(field1, field2, mids)
+    else:
+        keys = [10_000 + 8 * (dec - 4) + j for dec in decades for j in range(8)] + list(range(n_nodes))
+        integrand = _node_values(field1, field2, law_provider, mids, keys, n_mc, seed)
     parts = integrand * (hi - lo)
     # per-decade increments, shallow to deep
     decade_inc = [float(np.sum(parts[8 * i : 8 * i + 8])) for i in reversed(range(len(decades)))]
@@ -371,7 +434,7 @@ def bridge_law_linear(spec1, spec2, x1, t0, t1):
         raise OracleError(f"start point has {x1.size} coordinates, the specs have {spec1.dim}")
     m, cov = x1, np.zeros((spec1.dim, spec1.dim))
     if t0 > 0:
-        (m, cov), = _moment_path(spec1, m, cov, 0.0, [t0])
+        (m,), (cov,) = _moment_path(spec1, m, cov, 0.0, [t0])
     if t1 > t0:
-        (m, cov), = _moment_path(spec2, m, cov, t0, [t1])
+        (m,), (cov,) = _moment_path(spec2, m, cov, t0, [t1])
     return _law_at(m, cov, t1)

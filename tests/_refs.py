@@ -13,6 +13,7 @@ import itertools
 
 import numpy as np
 from scipy.integrate import quad
+from scipy.linalg import expm
 from scipy.special import logsumexp
 
 from entroflow import EmpiricalMeasure
@@ -142,6 +143,27 @@ def rk4_moments_fixed(a_fn, c_fn, s_fn, m0, c0, t_start, tau, n_steps=800):
         m = m + (h / 6.0) * (k1m + 2 * k2m + 2 * k3m + k4m)
         cov = cov + (h / 6.0) * (k1c + 2 * k2c + 2 * k3c + k4c)
     return m, 0.5 * (cov + cov.T)
+
+
+def van_loan_moments(a, c, q, m0, c0, tau):
+    """(m, C) of dX = (A X + c) dt + S dW after tau for constant A, c and
+    Q = S S', one single-matrix expm per Van Loan block.
+
+    The per-time form the package used before it exponentiated every time
+    at once.
+    """
+    d = m0.size
+    ea = expm(a * tau)
+    blk = np.zeros((2 * d, 2 * d))
+    blk[:d, :d] = a
+    blk[:d, d:] = np.eye(d)
+    int_ea = expm(blk * tau)[:d, d:]
+    blk2 = np.zeros((2 * d, 2 * d))
+    blk2[:d, :d] = a
+    blk2[:d, d:] = q
+    blk2[d:, d:] = -a.T
+    cov = ea @ c0 @ ea.T + expm(blk2 * tau)[:d, d:] @ ea.T
+    return ea @ m0 + int_ea @ c, 0.5 * (cov + cov.T)
 
 
 def td_ou_law_quad(x0, v0, c, a_scale, rate_integral, t):

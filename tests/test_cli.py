@@ -5,7 +5,7 @@ import re
 import pytest
 
 from entroflow import ExperimentReport, validate_report_dict
-from entroflow.catalog import make_field, make_linear_spec, make_mv_field
+from entroflow.catalog import make_linear_spec, make_mv_field
 from entroflow.cli import _MISMATCH_SECOND, EXPERIMENTS, main
 
 
@@ -76,7 +76,17 @@ class TestRun:
             ("bridge_decomposition", "d=0", "'d'"),
             ("entropy_cost", "n_t=0", "'n_t'"),
             ("talagrand", "d=-2", "'d'"),
-            ("mismatch_singularity", "n_mc=0", "'n_mc'"),
+            # a time that is not positive is named, not left to numpy or the oracle
+            ("mismatch_singularity", "t=0", "'t': 0.0 is not a positive time"),
+            ("mismatch_singularity", "t=-0.5", "'t'"),
+            ("entropy_cost", "t_min=0", "'t_min'"),
+            ("entropy_cost", "t_min=-1", "'t_min'"),
+            ("entropy_cost", "t_max=0", "'t_max'"),
+            ("meanfield_entropy_cost", "t_min=-0.1", "'t_min'"),
+            ("meanfield_entropy_cost", "t_max=0", "'t_max'"),
+            ("bridge_decomposition", "t1=0", "'t1'"),
+            ("bridge_decomposition", "t1=-2", "'t1'"),
+            ("log_harnack", "t=0", "'t'"),
             ("meanfield_entropy_cost", "k=0", "'k'"),
             ("mismatch_singularity", "a1=0", "a_scale"),
             ("mismatch_singularity", "a1=inf", "'a1'"),
@@ -155,7 +165,7 @@ class TestRun:
             tmp_path / "m.ini",
             "mismatch_singularity",
             tmp_path / "out",
-            params={"pair": "diffusion-gap", "t": "0.25", "n_mc": "80"},
+            params={"pair": "diffusion-gap", "t": "0.25"},
         )
         assert main(["run", str(cfg)]) == 0
         report = json.loads((tmp_path / "out" / "mismatch_singularity_report.json").read_text())
@@ -262,8 +272,7 @@ class TestRun:
         for kind in EXPERIMENTS["meanfield_entropy_cost"][1]["field_kind"]["choices"]:
             assert make_mv_field(kind, d=2).dim == 2
         for pair in EXPERIMENTS["mismatch_singularity"][1]["pair"]["choices"]:
-            kind = _MISMATCH_SECOND[pair][0]
-            assert make_field(kind, d=2).dim == make_linear_spec(kind, d=2).dim == 2
+            assert make_linear_spec(_MISMATCH_SECOND[pair][0], d=2).dim == 2
 
 
 class TestList:

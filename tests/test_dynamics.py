@@ -18,6 +18,7 @@ from entroflow import (
     time_grid,
 )
 from entroflow._rng import path_normals
+from entroflow.dynamics import _noise
 from entroflow.catalog import constant_drift_field, dini_power_drift_field, heat_field, ou_field
 
 from _refs import coupled_ou_second_moment, ou_law_1d, synchronous_pair_loop
@@ -156,6 +157,27 @@ class TestEulerMaruyama:
             hs.append(t / steps)
         slope = np.polyfit(np.log(hs), np.log(errs), 1)[0]
         assert 0.7 <= slope <= 1.3
+
+    def test_diagonal_sigma_matches_einsum(self):
+        # a sigma broadcasting one diagonal matrix scales dW by its diagonal;
+        # that equals the general einsum bit for bit, and any other sigma
+        # (not diagonal, or not a broadcast) takes the einsum itself
+        rng = np.random.default_rng(4)
+        dw = rng.standard_normal((200, 3))
+        diag = np.broadcast_to(np.diag([0.5, 1.7, 0.0]), (200, 3, 3))
+        full = np.broadcast_to(np.array([[1.0, 0.2, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 2.0]]), (200, 3, 3))
+        per_row = rng.standard_normal((200, 3, 3))
+        for sig in (diag, full, np.ascontiguousarray(diag), per_row):
+            assert np.array_equal(_noise(sig, dw), np.einsum("nij,nj->ni", sig, dw))
+        # an ensemble of a catalog field against the step loop written with einsum
+        f, grid, x0 = ou_field(2, rate=1.0, a_scale=0.5), time_grid(1.0, 32), np.array([1.0, -1.0])
+        ens = euler_maruyama(f, x0, grid, seed=5, n_paths=64)
+        dws = path_normals(5, 64, 32, 2) * np.sqrt(np.diff(grid))[None, :, None]
+        x = np.tile(x0, (64, 1))
+        for k in range(32):
+            h = grid[k + 1] - grid[k]
+            x = x + f.drift(grid[k], x) * h + np.einsum("nij,nj->ni", f.sigma(grid[k], x), dws[:, k, :])
+            assert np.array_equal(ens.paths[:, k + 1, :], x)
 
     @pytest.mark.parametrize("grid", BAD_GRIDS)
     def test_bad_grid_rejected(self, grid):

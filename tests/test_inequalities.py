@@ -197,6 +197,34 @@ class TestMismatchSingularity:
         assert rep.left == drift.true_entropy and math.isnan(rep.right)
         assert rep.notes == "true entropy of nan exceeds its finite bound"
 
+    def test_nan_bound_after_a_finite_pair_is_violated(self):
+        # a NaN bound binds wherever its pair stands: second after a finite
+        # pair that holds, the report is still violated and names it
+        t = 0.5
+        drift = self._case("drift-gap", t)
+        nan_field = dataclasses.replace(drift.field2, drift_dini=lambda s, x: np.full_like(x, np.nan))
+        nan_case = MismatchCase(drift.field1, nan_field, drift.law_provider, drift.true_entropy, "nan")
+        rep = mismatch_singularity_experiment([drift, nan_case], t, n_mc=50, seed=1, n_nodes=16)
+        assert math.isnan(rep.params["cases"][1]["bound"])
+        assert rep.verdict == "violated"
+        assert rep.left == drift.true_entropy and math.isnan(rep.right)
+        assert rep.notes == "true entropy of nan exceeds its finite bound"
+
+    def test_linear_pairs_are_exact(self):
+        # the CLI's pairs as two LinearSDESpecs: no law provider and no draws,
+        # the drift-gap bound is c^2 t/(2a) and the diffusion gap diverges
+        t = 0.5
+        cases = [
+            MismatchCase(heat_spec(1, x0=[0.0], horizon=t), constant_drift_spec(1, 1.0, x0=[0.0], horizon=t),
+                         true_entropy=t / 4.0, label="drift-gap"),
+            MismatchCase(heat_spec(1, 1.0, x0=[0.0], horizon=t), heat_spec(1, 2.0, x0=[0.0], horizon=t),
+                         true_entropy=0.5 * (math.log(2.0) - 0.5), label="diffusion-gap"),
+        ]
+        rep = mismatch_singularity_experiment(cases[:1], t)
+        assert rep.verdict == "holds" and rep.right == pytest.approx(t / 2.0, rel=1e-12)
+        rep = mismatch_singularity_experiment(cases, t)
+        assert rep.verdict == "divergent" and rep.params["cases"][1]["diverged"]
+
     def test_no_true_entropy_is_degenerate(self):
         # a finite bound with nothing to compare it to is not a "holds"
         t = 0.5

@@ -3,9 +3,11 @@ import math
 
 import numpy as np
 import pytest
+from scipy.integrate import quad
 
 from entroflow import (
     BridgeSpec,
+    CoefficientField,
     GaussianMeasure,
     LinearSDESpec,
     OracleError,
@@ -30,9 +32,9 @@ from entroflow.catalog import (
     ou_field,
     ou_spec,
 )
-from entroflow.oracles import RK4_STEPS
+from entroflow.oracles import RK4_STEPS, _linear_node_values, _node_values
 
-from _refs import rk4_moments_fixed, td_ou_law_quad
+from _refs import rk4_moments_fixed, td_ou_law_quad, van_loan_moments
 
 
 class TestLinearLaw:
@@ -268,18 +270,32 @@ class TestMomentPath:
             bridge_law_linear(heat_spec(1), heat_spec(1), [0.0, 1.0], 0.5, 1.0)
 
     def test_constant_coefficients_byte_identical(self):
+        # every time's law equals its own linear_sde_law and the per-time,
+        # single-matrix Van Loan reference bit for bit: exponentiating all
+        # times at once changes no digit
         g = GaussianMeasure([0.5, -1.0], [[0.6, 0.2], [0.2, 0.4]])
         specs = [
             ou_spec(2, rate=0.8, a_scale=0.5, x0=[1.0, -2.0], horizon=2.0),
             heat_spec(1, 1.5, x0=[0.3]),
             LinearSDESpec.from_gaussian(g, [[-1.0, 0.4], [0.0, -0.5]], [0.2, 0.1], [[1.0, 0.0], [0.3, 0.8]]),
+            LinearSDESpec.from_point(
+                [0.2, -0.4, 1.0],
+                [[-0.7, 0.2, 0.0], [0.1, -1.2, 0.3], [0.0, 0.5, 0.4]],
+                [0.3, 0.0, -0.2],
+                [[1.1, 0.0, 0.0], [0.4, 0.6, 0.0], [-0.2, 0.3, 1.4]],
+            ),
         ]
         times = [1e-9, 0.01, 0.3, 0.3, 0.9, 1.0]
         for spec in specs:
+            a_fn, c_fn, s_fn, const = spec.parts()
+            assert const
+            a, c, s = a_fn(0.0), c_fn(0.0), s_fn(0.0)
             for t, law in zip(times, linear_sde_laws(spec, times)):
                 ref = linear_sde_law(spec, t)
-                assert np.array_equal(law.mean, ref.mean)
-                assert np.array_equal(law.cov, ref.cov)
+                m, cov = van_loan_moments(a, c, s @ s.T, spec.initial_mean, spec.initial_cov, t)
+                for mean_ref, cov_ref in ((ref.mean, ref.cov), (m, cov)):
+                    assert np.array_equal(law.mean, mean_ref)
+                    assert np.array_equal(law.cov, cov_ref)
 
     def test_horizon_must_be_positive(self):
         for horizon in (0.0, -1.0, math.inf):
@@ -469,6 +485,106 @@ class TestMismatchBound:
         res = mismatch_bound(f1, f2, t, lambda s: linear_sde_law(spec1, s), n_mc=200, seed=3)
         assert not res.diverged
         assert math.isfinite(res.value)
+
+
+def _linear_views(x0, a_fn, c_fn, s_fn, horizon, const):
+    """(LinearSDESpec, CoefficientField) of dX = (A(t) X + c(t)) dt + S(t) dW
+    from the point x0; a constant pair is handed to the spec as arrays."""
+    d = len(x0)
+    spec = LinearSDESpec.from_point(
+        x0, *((fn(0.0) for fn in (a_fn, c_fn, s_fn)) if const else (a_fn, c_fn, s_fn)), horizon=horizon
+    )
+    field = CoefficientField(
+        dim=d,
+        drift_dini=lambda t, x: np.zeros_like(x),
+        drift_lipschitz=lambda t, x: x @ a_fn(t).T + c_fn(t),
+        diffusion=lambda t, x: np.broadcast_to(0.5 * s_fn(t) @ s_fn(t).T, (x.shape[0], d, d)),
+        div_a_fn=lambda t, x: np.zeros_like(x),
+        bound=10.0,
+        horizon=horizon,
+    )
+    return spec, field
+
+
+class TestLinearMismatchBound:
+    def test_ou_against_heat_is_a_quarter(self):
+        # OU(rate 1, a 1) vs heat(a 1) from x0 = 1: Phi = x and
+        # E X_s^2 = e^{-2s} + (1 - e^{-2s}) = 1, so the bound is t/2 * 1/2
+        res = mismatch_bound(ou_spec(1, 1.0, 1.0, x0=[1.0]), heat_spec(1, 1.0, x0=[1.0]), 0.5)
+        assert not res.diverged
+        assert res.value == pytest.approx(0.25, abs=1e-9)
+
+    @pytest.mark.parametrize("case", ["equal-noise", "diffusion-gap", "time-dependent"])
+    def test_node_values_match_monte_carlo_d2(self, case):
+        # the exact node values against the Monte Carlo branch on the same
+        # pair at 3 standard errors over 20 independent batches per node
+        t = 0.5
+        a1 = lambda s: np.array([[-1.0, 0.3], [0.0, -0.5]])
+        a2 = lambda s: np.array([[-0.4, 0.0], [0.2, -1.0]])
+        c1 = lambda s: np.array([0.2, -0.1])
+        c2 = lambda s: np.array([1.0, 0.5])
+        s1 = lambda s: np.array([[1.0, 0.0], [0.4, 0.8]])
+        s2 = s1 if case == "equal-noise" else (lambda s: np.array([[1.3, 0.2], [0.0, 0.9]]))
+        if case == "time-dependent":
+            a1 = lambda s: np.array([[-_rate(s), 0.3], [0.0, -0.5]])
+            c2 = lambda s: np.array([1.0 + s, 0.5])
+            s2 = lambda s: np.array([[1.3 + s, 0.2], [0.0, 0.9]])
+        const = case != "time-dependent"
+        spec1, field1 = _linear_views([1.0, -0.5], a1, c1, s1, t, const)
+        spec2, field2 = _linear_views([1.0, -0.5], a2, c2, s2, t, const)
+        mids = np.array([0.05, 0.2, 0.45])
+        exact = _linear_node_values(spec1, spec2, mids)
+        batches = np.array(
+            [
+                _node_values(field1, field2, lambda s: linear_sde_law(spec1, s), mids, range(3), 1000, seed)
+                for seed in range(20)
+            ]
+        )
+        se = batches.std(axis=0, ddof=1) / math.sqrt(len(batches))
+        assert np.all(np.abs(batches.mean(axis=0) - exact) < 3 * se)
+
+    def test_diffusion_gap_pair_is_divergent(self):
+        # heat a = 1 vs a = 2: the node value is exactly 1/(8s), so each probe
+        # decade's 8 midpoint terms on intervals of ratio r = 10^(1/8) add
+        # 2(r - 1)/(r + 1), the midpoint rule's value of log(10)/8
+        t = 0.5
+        res = mismatch_bound(heat_spec(1, 1.0, horizon=t), heat_spec(1, 2.0, horizon=t), t)
+        assert res.diverged and math.isinf(res.value)
+        r = 10.0 ** (1.0 / 8.0)
+        assert res.decade_increments == pytest.approx([2.0 * (r - 1.0) / (r + 1.0)] * 8, rel=1e-12)
+
+    def test_time_quadrature_error_against_quad(self):
+        # the bound is the 200-node geometric midpoint rule of the exact
+        # integrand; against adaptive quadrature of the same integrand its
+        # relative error is 5.1e-6 and 5.8e-5 on these two pairs
+        t = 0.5
+        pairs = [
+            (ou_spec(1, 1.0, 0.5, x0=[1.0]), constant_drift_spec(1, 1.0, 0.5, x0=[1.0]), 1e-5),
+            (ou_spec(2, 2.0, 0.3, x0=[1.0, -2.0]), heat_spec(2, 0.3, x0=[1.0, -2.0]), 1e-4),
+        ]
+        for spec1, spec2, rel in pairs:
+            integrand = lambda s: _linear_node_values(spec1, spec2, np.array([s]))[0]
+            ref, _ = quad(integrand, 0.0, t, epsabs=0.0, epsrel=1e-12)
+            res = mismatch_bound(spec1, spec2, t)
+            assert abs(res.value - ref) < rel * ref
+
+    def test_bad_inputs_rejected(self):
+        t = 0.5
+        heat = heat_spec(1, 1.0)
+        singular_noise = LinearSDESpec.from_point([0.0, 0.0], 0.0, 0.0, np.diag([1.0, 0.0]))
+        cases = [
+            ((heat, LinearSDESpec.from_point([0.0], 0.0, 0.0, 0.0)), "singular"),
+            ((singular_noise, heat_spec(2, 1.0)), "not SPD"),
+            ((heat, heat_spec(2, 1.0)), "dimensions"),
+            ((heat, heat_spec(1, 1.0, horizon=0.4)), "outside"),
+            ((heat_spec(1, 1.0, horizon=0.4), heat), "outside"),
+            ((heat, heat_field(1)), "two LinearSDESpecs or two coefficient fields"),
+        ]
+        for (first, second), match in cases:
+            with pytest.raises(OracleError, match=match):
+                mismatch_bound(first, second, t)
+        with pytest.raises(OracleError, match="no law_provider"):
+            mismatch_bound(heat, heat, t, lambda s: linear_sde_law(heat, s))
 
 
 class TestBridgeLaw:

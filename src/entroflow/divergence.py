@@ -8,13 +8,14 @@ single integer parameter.  Natural log throughout.
 """
 
 import math
+from numbers import Integral
 
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve
 from scipy.spatial import cKDTree
 from scipy.special import logsumexp
 
-from .measures import EmpiricalMeasure, GaussianMeasure, MeasureError
+from .measures import EmpiricalMeasure, GaussianMeasure, _check_pair
 from .reports import ExperimentReport
 
 
@@ -58,10 +59,7 @@ def kl_gaussian(g1, g2):
 
     0.5 * (tr(S2^-1 S1) + (m2-m1)' S2^-1 (m2-m1) - d + log det S2 - log det S1)
     """
-    if not (isinstance(g1, GaussianMeasure) and isinstance(g2, GaussianMeasure)):
-        raise MeasureError("kl_gaussian needs GaussianMeasure inputs")
-    if g1.dim != g2.dim:
-        raise MeasureError("dimension mismatch")
+    _check_pair("kl_gaussian", GaussianMeasure, g1, g2)
     d = g1.dim
     c2 = cho_factor(g2.cov, lower=True)
     tr = np.trace(cho_solve(c2, g1.cov))
@@ -93,27 +91,22 @@ def kl_knn(mu_samples, nu_samples, k=5):
     Ratio-of-radii form: (d/n) sum_i log(nu_k(i)/rho_k(i)) + log(m/(n-1)),
     where rho_k is the k-th neighbor radius inside mu_samples and nu_k the
     k-th neighbor radius into nu_samples.  Consistent as n, m -> inf but
-    biased at finite n and not guaranteed nonnegative.
+    biased at finite n and not guaranteed nonnegative.  A k-th neighbor
+    radius of 0 (coincident sample points) has no log: DivergenceError.
     """
-    if not (
-        isinstance(mu_samples, EmpiricalMeasure)
-        and isinstance(nu_samples, EmpiricalMeasure)
-    ):
-        raise MeasureError("kl_knn needs EmpiricalMeasure inputs")
-    if mu_samples.dim != nu_samples.dim:
-        raise MeasureError("dimension mismatch")
+    _check_pair("kl_knn", EmpiricalMeasure, mu_samples, nu_samples)
     if not (mu_samples.is_uniform() and nu_samples.is_uniform()):
         raise DivergenceError("kl_knn needs uniform weights (plain samples)")
     n, m, d = mu_samples.n_points, nu_samples.n_points, mu_samples.dim
-    if k < 1 or n < k + 1 or m < k + 1:
+    if isinstance(k, bool) or not isinstance(k, Integral) or k < 1:
+        raise DivergenceError(f"k must be an integer >= 1, got {k!r}")
+    if n < k + 1 or m < k + 1:
         raise DivergenceError("too few samples: need n, m >= k+1")
     x, y = mu_samples.points, nu_samples.points
-    rho = cKDTree(x).query(x, k=k + 1)[0][:, k]  # k-th neighbor, self excluded
-    nu_r = cKDTree(y).query(x, k=k)[0]
-    if k > 1:
-        nu_r = nu_r[:, k - 1]
-    rho = np.maximum(rho, 1e-300)
-    nu_r = np.maximum(nu_r, 1e-300)
+    rho = cKDTree(x).query(x, k=[k + 1])[0][:, 0]  # k-th neighbor, self excluded
+    nu_r = cKDTree(y).query(x, k=[k])[0][:, 0]
+    if not (np.all(rho > 0) and np.all(nu_r > 0)):
+        raise DivergenceError(f"a k-th neighbor radius (k={k}) is 0: coincident sample points")
     return float(d * np.mean(np.log(nu_r / rho)) + np.log(m / (n - 1)))
 
 

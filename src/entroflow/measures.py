@@ -135,6 +135,14 @@ class GaussianMeasure:
         return f"GaussianMeasure(d={self.dim})"
 
 
+def _check_pair(name, kind, m1, m2):
+    """Raise MeasureError unless m1 and m2 are both of class kind, of one dimension."""
+    if not (isinstance(m1, kind) and isinstance(m2, kind)):
+        raise MeasureError(f"{name} needs {kind.__name__} inputs")
+    if m1.dim != m2.dim:
+        raise MeasureError("dimension mismatch")
+
+
 def gaussian_sample(g, n, seed):
     """n i.i.d. draws from g as a uniform empirical measure.
 

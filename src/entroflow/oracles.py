@@ -20,6 +20,7 @@ linear specs), and the switched-generator (bridge) law.
 
 import math
 from dataclasses import dataclass, field
+from numbers import Integral
 from typing import Callable, Optional, Union
 
 import numpy as np
@@ -353,6 +354,11 @@ def _linear_node_values(spec1, spec2, mids):
     return 0.5 * (quad + spread)
 
 
+def _check_count(name, n):
+    if isinstance(n, bool) or not isinstance(n, Integral) or n < 1:
+        raise OracleError(f"{name} must be an integer >= 1, got {n!r}")
+
+
 def mismatch_bound(field1, field2, t, law_provider=None, n_mc=500, seed=0, n_nodes=200):
     """Entropy upper bound (1/2) int_0^t E |a2^{-1/2} Phi(s, X_s^1)|^2 ds.
 
@@ -363,7 +369,8 @@ def mismatch_bound(field1, field2, t, law_provider=None, n_mc=500, seed=0, n_nod
     laws are the first spec's own and each node's expectation is exact
     (_linear_node_values): no draws, so n_mc and seed are not read.  Their
     dimensions must agree and both horizons must reach t; a singular a2 or a
-    non-SPD covariance raises OracleError.
+    non-SPD covariance raises OracleError.  n_nodes, and for two fields
+    n_mc, must be integers >= 1.
 
     Time quadrature is a midpoint rule on n_nodes geometrically refined
     intervals with smallest node t*1e-4; probe decades extend down to t*1e-12
@@ -386,6 +393,9 @@ def mismatch_bound(field1, field2, t, law_provider=None, n_mc=500, seed=0, n_nod
             _check_times([t], spec.horizon)
     elif not callable(law_provider):
         raise OracleError("law_provider must be callable")
+    else:
+        _check_count("n_mc", n_mc)
+    _check_count("n_nodes", n_nodes)
     main = t * (1e-4 ** (1.0 - np.arange(n_nodes + 1) / n_nodes))
     # one ascending grid: the probe decades below the main grid, 8
     # subintervals each and the deepest first, then the main grid.  Probe

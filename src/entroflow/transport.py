@@ -12,19 +12,19 @@ Three regimes are covered exactly or to solver tolerance:
 Sinkhorn works on the kernel -cost/epsilon, computed once per solve, and pays
 one log-sum-exp pass per half-iteration.  After the row update the rows of
 the plan are exact, and the column error is read off the next column update,
-so the n x m plan is built only once that estimated error is below tol; the
-built plan's own marginal error is then measured and the plan returned only
-if it is below tol too.  The two self-transport problems of the debiased cost
-use the symmetric averaged fixed point f <- (f + T f) / 2 (Feydy et al.,
-AISTATS 2019) with the same stop rule, where plain alternating updates can
-stall.  A non-finite marginal error stops the solve at once.
+so the n x m plan is built only once that estimated error is below
+SINKHORN_TOL, and returned only if its own measured marginal error is too.
+The two self-transport problems of the debiased cost use the symmetric
+averaged fixed point f <- (f + T f) / 2 (Feydy et al., AISTATS 2019) with the
+same stop rule, where plain alternating updates can stall.  A non-finite
+marginal error stops the solve at once; so does reaching SINKHORN_MAX_ITER.
 """
 
 import numpy as np
 from scipy.optimize import linear_sum_assignment, linprog
 import scipy.sparse as sp
 
-from .measures import EmpiricalMeasure, GaussianMeasure, MeasureError
+from .measures import EmpiricalMeasure, GaussianMeasure, MeasureError, _check_pair
 
 #: memory budget for exact discrete OT (number of cost-matrix entries)
 MAX_EXACT_ENTRIES = 4_000_000
@@ -67,22 +67,22 @@ class CouplingPlan:
         self.marginal_error = marginal_error
 
     def marginal_violation(self):
-        row = np.max(np.abs(self.matrix.sum(axis=1) - self.mu.weights))
-        col = np.max(np.abs(self.matrix.sum(axis=0) - self.nu.weights))
-        return max(row, col)
-
-    def recompute_cost(self):
-        return float(np.sum(self.matrix * _cost_matrix(self.mu, self.nu)))
+        return _marginal_error(self.matrix, self.mu.weights, self.nu.weights)
 
     def validate(self):
         if np.any(self.matrix < -1e-9):
             raise TransportError("plan has negative mass")
         if self.marginal_violation() > 1e-9:
             raise TransportError("plan marginals violated beyond 1e-9")
-        ref = self.recompute_cost()
+        ref = float(np.sum(self.matrix * _cost_matrix(self.mu, self.nu)))
         if abs(ref - self.cost) > 1e-9 * max(1.0, abs(ref)):
             raise TransportError("stored cost disagrees with the plan")
         return self
+
+
+def _marginal_error(plan, a, b):
+    """Largest deviation of plan's row sums from a and of its column sums from b."""
+    return float(max(np.max(np.abs(plan.sum(axis=1) - a)), np.max(np.abs(plan.sum(axis=0) - b))))
 
 
 def _cost_matrix(mu, nu):
@@ -104,10 +104,7 @@ def _sqrtm_spd(mat):
 
 def w2_gaussian(g1, g2):
     """Exact W2 between Gaussians (Bures closed form)."""
-    if not (isinstance(g1, GaussianMeasure) and isinstance(g2, GaussianMeasure)):
-        raise MeasureError("w2_gaussian needs GaussianMeasure inputs")
-    if g1.dim != g2.dim:
-        raise MeasureError("dimension mismatch")
+    _check_pair("w2_gaussian", GaussianMeasure, g1, g2)
     dm = g1.mean - g2.mean
     r2 = _sqrtm_spd(g2.cov)
     cross = _sqrtm_spd(r2 @ g1.cov @ r2)
@@ -117,39 +114,36 @@ def w2_gaussian(g1, g2):
 
 def gaussian_optimal_map(g1, g2):
     """(A, b) with T(x) = A x + b pushing g1 onto g2 optimally."""
+    _check_pair("gaussian_optimal_map", GaussianMeasure, g1, g2)
     r1 = _sqrtm_spd(g1.cov)
     r1i = np.linalg.inv(r1)
     a = r1i @ _sqrtm_spd(r1 @ g2.cov @ r1) @ r1i
     return a, g2.mean - a @ g1.mean
 
 
+def _lower_half_cost(x, wx, y, wy):
+    """Quantile-coupling cost over the levels (0, 1/2] of points x, y with weights wx, wy.
+
+    The breakpoints are both sides' cumulative weights below 1/2; each piece
+    couples the first atom on each side whose cumulative weight reaches its end.
+    """
+    xs, ys = np.argsort(x), np.argsort(y)
+    cx, cy = np.cumsum(wx[xs]), np.cumsum(wy[ys])
+    cuts = np.append(np.union1d(cx[cx < 0.5], cy[cy < 0.5]), 0.5)
+    d = x[xs[np.searchsorted(cx, cuts)]] - y[ys[np.searchsorted(cy, cuts)]]
+    return np.diff(cuts, prepend=0.0) @ (d * d)
+
+
 def w2_empirical_1d(mu, nu):
-    """Exact W2 in one dimension via the comonotone rearrangement."""
-    if mu.dim != 1 or nu.dim != 1:
+    """Exact W2 in one dimension via the quantile (comonotone) coupling."""
+    _check_pair("w2_empirical_1d", EmpiricalMeasure, mu, nu)
+    if mu.dim != 1:
         raise TransportError("w2_empirical_1d needs 1-D measures")
-    xs = np.argsort(mu.points[:, 0], kind="stable")
-    ys = np.argsort(nu.points[:, 0], kind="stable")
-    x, wx = mu.points[xs, 0], mu.weights[xs]
-    y, wy = nu.points[ys, 0], nu.weights[ys]
-    i = j = 0
-    rx, ry = wx[0], wy[0]
-    cost = 0.0
-    while True:
-        m = min(rx, ry)
-        d = x[i] - y[j]
-        cost += m * d * d
-        rx -= m
-        ry -= m
-        if rx <= 1e-17:
-            i += 1
-            if i == x.size:
-                break
-            rx = wx[i]
-        if ry <= 1e-17:
-            j += 1
-            if j == y.size:
-                break
-            ry = wy[j]
+    x, y = mu.points[:, 0], nu.points[:, 0]
+    # the levels above 1/2 are the lower half of the reflected pair, so each
+    # half is cumulated from its own end: one running sum from the bottom
+    # would round away a top weight below half an ulp of 1
+    cost = _lower_half_cost(x, mu.weights, y, nu.weights) + _lower_half_cost(-x, mu.weights, -y, nu.weights)
     return float(np.sqrt(max(cost, 0.0)))
 
 
@@ -202,24 +196,22 @@ def _check_error(err, iterations):
     if not np.isfinite(err):
         raise SinkhornDivergedError(
             f"marginal error not finite after {iterations} iterations; "
-            "reduce epsilon or use method='exact'"
+            "increase epsilon or use method='exact'"
         )
 
 
 def _measured_plan(kernel, h_rows, h_cols, a, b, iterations):
     """The plan exp(kernel + h_rows + h_cols) and its largest marginal error."""
     plan = np.exp(kernel + h_rows[:, None] + h_cols[None, :])
-    err = max(
-        np.max(np.abs(plan.sum(axis=1) - a)), np.max(np.abs(plan.sum(axis=0) - b))
-    )
+    err = _marginal_error(plan, a, b)
     _check_error(err, iterations)
-    return plan, float(err)
+    return plan, err
 
 
-def _no_convergence(max_iter, err):
+def _no_convergence(err):
     return SinkhornDivergedError(
-        f"no convergence after {max_iter} iterations (marginal error {err:.2e}); "
-        "reduce epsilon or use method='exact'"
+        f"no convergence after {SINKHORN_MAX_ITER} iterations (marginal error {err:.2e}); "
+        "increase epsilon or use method='exact'"
     )
 
 
@@ -227,84 +219,73 @@ def _log_weights(w):
     return np.log(np.maximum(w, 1e-300))
 
 
-def _sinkhorn(kernel, a, b, max_iter, tol):
+def _sinkhorn(kernel, a, b):
     """Alternating Sinkhorn on kernel = -cost / epsilon: (plan, iterations, error).
 
     Iteration k updates the row potential u (so the rows of the plan (u, v)
     are exact) and then the next column potential v'.  The columns of the
     plan (u, v) sum to b * exp(v - v'), so their error is read off v' without
     forming the plan; the plan is built, and its own error measured, only
-    once that estimate is below tol.
+    once that estimate is below SINKHORN_TOL.
     """
     log_a, log_b = _log_weights(a), _log_weights(b)
     v = _half_step(kernel, log_a, axis=0)  # u = 0
-    for k in range(1, max_iter + 1):
+    for k in range(1, SINKHORN_MAX_ITER + 1):
         u = _half_step(kernel, v + log_b, axis=1)
         v_next = _half_step(kernel, u + log_a, axis=0)
         err = np.max(b * np.abs(np.expm1(v - v_next)))
         _check_error(err, k)
-        if err < tol:
+        if err < SINKHORN_TOL:
             plan, err = _measured_plan(kernel, u + log_a, v + log_b, a, b, k)
-            if err < tol:
+            if err < SINKHORN_TOL:
                 return plan, k, err
         v = v_next
-    raise _no_convergence(max_iter, err)
+    raise _no_convergence(err)
 
 
-def _symmetric_sinkhorn(kernel, a, max_iter, tol):
+def _symmetric_sinkhorn(kernel, a):
     """Self-transport Sinkhorn on a symmetric kernel: (plan, iterations, error).
 
     Averaged fixed point u <- (u + T u) / 2 with T u = -log sum_j exp(kernel_ij
     + u_j + log a_j) (Feydy et al., AISTATS 2019).  The rows of the plan
     (u, u) sum to a * exp(u - T u); the plan is built, and its own error
-    measured, once that estimate is below tol.
+    measured, once that estimate is below SINKHORN_TOL.
     """
     log_a = _log_weights(a)
     u = np.zeros(a.size)
-    for k in range(1, max_iter + 1):
+    for k in range(1, SINKHORN_MAX_ITER + 1):
         t_u = _half_step(kernel, u + log_a, axis=1)
         err = np.max(a * np.abs(np.expm1(u - t_u)))
         _check_error(err, k)
-        if err < tol:
+        if err < SINKHORN_TOL:
             plan, err = _measured_plan(kernel, u + log_a, u + log_a, a, a, k)
-            if err < tol:
+            if err < SINKHORN_TOL:
                 return plan, k, err
         u = 0.5 * (u + t_u)
-    raise _no_convergence(max_iter, err)
+    raise _no_convergence(err)
 
 
-def _self_transport_cost(m, epsilon, max_iter, tol):
+def _self_transport_cost(m, epsilon):
     cost = _cost_matrix(m, m)
-    plan, _, _ = _symmetric_sinkhorn(-cost / epsilon, m.weights, max_iter, tol)
+    plan, _, _ = _symmetric_sinkhorn(-cost / epsilon, m.weights)
     return float(np.sum(plan * cost))
 
 
-def _entropic_plan(mu, nu, epsilon, max_iter, tol):
+def _entropic_plan(mu, nu, epsilon):
     if epsilon is None or not (np.isfinite(epsilon) and epsilon > 0):
         raise TransportError(f"entropic method needs a finite epsilon > 0, got {epsilon!r}")
-    if not (np.isfinite(tol) and tol > 0):
-        raise TransportError(f"entropic method needs a finite tol > 0, got {tol!r}")
-    if max_iter < 1:
-        raise TransportError(f"entropic method needs max_iter >= 1, got {max_iter!r}")
     cost = _cost_matrix(mu, nu)
-    plan, iterations, err = _sinkhorn(-cost / epsilon, mu.weights, nu.weights, max_iter, tol)
+    plan, iterations, err = _sinkhorn(-cost / epsilon, mu.weights, nu.weights)
     raw = float(np.sum(plan * cost))
-    self_mu = _self_transport_cost(mu, epsilon, max_iter, tol)
-    self_nu = _self_transport_cost(nu, epsilon, max_iter, tol)
+    self_mu = _self_transport_cost(mu, epsilon)
+    self_nu = _self_transport_cost(nu, epsilon)
     debiased = raw - 0.5 * (self_mu + self_nu)
     return CouplingPlan(
         mu, nu, plan, raw, debiased_cost=debiased, iterations=iterations, marginal_error=err
     )
 
 
-def w2_empirical_ot(
-    mu,
-    nu,
-    method="exact",
-    epsilon=None,
-    max_iter=SINKHORN_MAX_ITER,
-    tol=SINKHORN_TOL,
-):
+def w2_empirical_ot(mu, nu, method="exact", epsilon=None):
     """Discrete OT distance and plan.
 
     method='exact' solves the linear program (assignment fast path for
@@ -312,19 +293,16 @@ def w2_empirical_ot(
     at a finite regularization epsilon > 0 and additionally reports the
     debiased cost (raw cost minus half the two self-transport costs) on the
     plan.  Each of the three Sinkhorn solves stops once its plan's marginal
-    error is below tol (finite, > 0) and raises SinkhornDivergedError after
-    max_iter (>= 1) iterations or on a non-finite error.
+    error is below SINKHORN_TOL and raises SinkhornDivergedError after
+    SINKHORN_MAX_ITER iterations or on a non-finite error.
 
     Returns (distance, plan) with distance = sqrt(plan cost).
     """
-    if not (isinstance(mu, EmpiricalMeasure) and isinstance(nu, EmpiricalMeasure)):
-        raise MeasureError("w2_empirical_ot needs EmpiricalMeasure inputs")
-    if mu.dim != nu.dim:
-        raise MeasureError("dimension mismatch")
+    _check_pair("w2_empirical_ot", EmpiricalMeasure, mu, nu)
     if method == "exact":
         plan = _exact_plan(mu, nu)
     elif method == "entropic":
-        plan = _entropic_plan(mu, nu, epsilon, max_iter, tol)
+        plan = _entropic_plan(mu, nu, epsilon)
     else:
         raise TransportError(f"unknown method {method!r}")
     return float(np.sqrt(max(plan.cost, 0.0))), plan
@@ -332,6 +310,7 @@ def w2_empirical_ot(
 
 def optimal_coupling_discrete(mu, nu):
     """Exact optimal plan attaining W2^2 between two point clouds."""
+    _check_pair("optimal_coupling_discrete", EmpiricalMeasure, mu, nu)
     return _exact_plan(mu, nu)
 
 

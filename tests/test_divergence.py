@@ -122,6 +122,19 @@ class TestKlKnn:
         with pytest.raises(DivergenceError):
             kl_knn(m, u, k=1)
 
+    def test_coincident_points_raise(self):
+        # every mu point is also a nu point, so each radius into nu_samples is 0
+        x = gaussian_sample(GaussianMeasure.standard(1), 20, seed=7)
+        with pytest.raises(DivergenceError, match="k=1"):
+            kl_knn(x, x, k=1)
+
+    @pytest.mark.parametrize("k", [0, 2.5, True])
+    def test_k_must_be_a_positive_integer(self, k):
+        # a fractional k would pick neighbors of two different orders
+        a, b = (gaussian_sample(GaussianMeasure.standard(1), 20, seed=s) for s in (7, 8))
+        with pytest.raises(DivergenceError, match="k must be an integer >= 1"):
+            kl_knn(a, b, k=k)
+
 
 class TestInterpolationBound:
     def test_all_equal_is_equality(self):

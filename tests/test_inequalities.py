@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from entroflow import (
+    DivergenceError,
     EmpiricalMeasure,
     GaussianMeasure,
     MeasureError,
@@ -77,6 +78,12 @@ class TestTalagrand:
         # estimates should sit near the closed forms for the underlying law
         assert abs(rep.params["entropy"] - 0.5) < 0.15
         assert abs(rep.left - 1.0) < 0.3
+
+    def test_repeated_draws_raise(self):
+        # each draw six times: its 5th neighbor inside the sample is a copy, at radius 0
+        draws = np.repeat(np.random.default_rng(57).standard_normal((300, 1)), 6, axis=0)
+        with pytest.raises(DivergenceError, match="k=5"):
+            talagrand_experiment(EmpiricalMeasure(draws), seed=58)
 
 
 class TestEntropyCost:
@@ -426,7 +433,7 @@ class TestMeanfieldEntropyCost:
 
     @pytest.mark.parametrize("grid", BAD_GRIDS + [[0.0, 0.5]], ids=BAD_GRID_IDS + ["zero"])
     def test_bad_grid_rejected(self, grid):
-        # t = 0 would compare coincident point clouds (k-NN radii clamped at 1e-300)
+        # t = 0 would compare coincident point clouds (k-NN radii of 0 raise DivergenceError)
         field = mean_field_ou(1, 1.0, 0.5)
         with pytest.raises(ExperimentError, match="time grid"):
             meanfield_entropy_cost_experiment(

@@ -6,7 +6,14 @@ from entroflow import (
     GaussianMeasure,
     MeasureError,
     gaussian_sample,
+    kl_gaussian,
+    kl_knn,
+    optimal_coupling_discrete,
+    w2_empirical_1d,
+    w2_empirical_ot,
+    w2_gaussian,
 )
+from entroflow.transport import gaussian_optimal_map
 
 from _refs import direct_covariance
 
@@ -112,3 +119,35 @@ class TestSampling:
         var = 2 * np.trace(cov @ cov) + 4 * mean @ cov @ mean
         se = np.sqrt(var / n)
         assert abs(s.second_moment() - truth) < 3 * se
+
+
+def _clouds(d1, d2):
+    return EmpiricalMeasure(np.arange(6.0 * d1).reshape(6, d1)), EmpiricalMeasure(np.ones((6, d2)))
+
+
+def _gaussians(d1, d2):
+    return GaussianMeasure.standard(d1), GaussianMeasure.standard(d2)
+
+
+# each function that takes a pair of measures, with the kind it needs
+PAIR_FUNCTIONS = [
+    (w2_gaussian, _gaussians, "GaussianMeasure"),
+    (gaussian_optimal_map, _gaussians, "GaussianMeasure"),
+    (kl_gaussian, _gaussians, "GaussianMeasure"),
+    (w2_empirical_ot, _clouds, "EmpiricalMeasure"),
+    (optimal_coupling_discrete, _clouds, "EmpiricalMeasure"),
+    (w2_empirical_1d, _clouds, "EmpiricalMeasure"),
+    (kl_knn, _clouds, "EmpiricalMeasure"),
+]
+
+
+class TestPairCheck:
+    @pytest.mark.parametrize("fn, pair, kind", PAIR_FUNCTIONS, ids=[f[0].__name__ for f in PAIR_FUNCTIONS])
+    def test_wrong_kind_and_dimension_rejected(self, fn, pair, kind):
+        other = _clouds if pair is _gaussians else _gaussians
+        right, wrong = pair(1, 1)[0], other(1, 1)[1]
+        for a, b in ((right, wrong), (wrong, right), (wrong, wrong)):
+            with pytest.raises(MeasureError, match=f"{fn.__name__} needs {kind} inputs"):
+                fn(a, b)
+        with pytest.raises(MeasureError, match="dimension mismatch"):
+            fn(*pair(1, 2))

@@ -586,6 +586,19 @@ class TestLinearMismatchBound:
         with pytest.raises(OracleError, match="no law_provider"):
             mismatch_bound(heat, heat, t, lambda s: linear_sde_law(heat, s))
 
+    @pytest.mark.parametrize("count", [-3, 0, 2.5, True])
+    def test_counts_must_be_positive_integers(self, count):
+        # heat against drift-gap (a = c = 1) has the bound 0.25 at t = 0.5
+        spec1, spec2 = heat_spec(1, 1.0), constant_drift_spec(1, 1.0, 1.0)
+        assert mismatch_bound(spec1, spec2, 0.5).value == pytest.approx(0.25, abs=1e-9)
+        with pytest.raises(OracleError, match="n_nodes must be an integer >= 1"):
+            mismatch_bound(spec1, spec2, 0.5, n_nodes=count)
+        f1, f2 = heat_field(1, 1.0), constant_drift_field(1, 1.0, 1.0)
+        law = lambda s: linear_sde_law(spec1, s)
+        for name in ("n_nodes", "n_mc"):
+            with pytest.raises(OracleError, match=f"{name} must be an integer >= 1"):
+                mismatch_bound(f1, f2, 0.5, law, **{name: count})
+
 
 class TestBridgeLaw:
     def test_switch_at_t1_is_first_law(self):

@@ -40,6 +40,19 @@ def substream(master_seed, kind, index=0, stream=0):
     return np.random.Generator(np.random.Philox(key=_key(master_seed, kind, index, stream)))
 
 
+def _keys(master_seed, kind, indices, stream=0):
+    """The Philox keys of substreams (master_seed, kind, stream, index), one
+    uint64 row per index of the integer array indices: an (n, 2) array
+    built at once, its range checked on the largest index."""
+    # as uint64 a negative index wraps past 2**40, so the largest index checks them all
+    indices = np.asarray(indices).astype(np.uint64)
+    _key(master_seed, kind, int(indices.max(initial=0)), stream)
+    keys = np.empty((indices.size, 2), dtype=np.uint64)
+    keys[:, 0] = int(master_seed) & _MASK64
+    keys[:, 1] = np.uint64((kind << 56) | (stream << 40)) | indices
+    return keys
+
+
 def _rekeyed(master_seed, kind, indices, stream=0):
     """Yield, for each index in turn, a generator drawing exactly what
     substream(master_seed, kind, index, stream) would.
@@ -56,21 +69,24 @@ def _rekeyed(master_seed, kind, indices, stream=0):
         "has_uint32": 0,
         "uinteger": 0,
     }
-    for index in indices:
-        state["state"]["key"] = _key(master_seed, kind, index, stream)
+    for key in _keys(master_seed, kind, indices, stream):
+        state["state"]["key"] = key
         gen.bit_generator.state = state
         yield gen
 
 
-def path_normals(master_seed, n_paths, n_steps, dim, stream=0):
-    """Standard-normal increments, one keyed substream per path.
+def path_normals(master_seed, out, stream=0):
+    """Fill the array out with standard-normal increments, one keyed
+    substream per path, and return it.
 
-    Returns an (n_paths, n_steps, dim) array; row i depends only on
-    (master_seed, stream, i), so permuting path indices permutes rows exactly.
+    out is an (n_paths, n_steps, dim) float array whose rows are each
+    C-contiguous; row i is drawn from the substream keyed
+    (master_seed, stream, i), so it depends on nothing else: not on where
+    the row is stored, and permuting path indices permutes rows exactly.
     """
-    # the last row's key is the largest: check it before allocating
+    n_paths = out.shape[0]
+    # the last row's key is the largest: check it before building every key
     _key(master_seed, PATH, max(n_paths - 1, 0), stream)
-    out = np.empty((n_paths, n_steps, dim))
-    for i, g in enumerate(_rekeyed(master_seed, PATH, range(n_paths), stream)):
-        g.standard_normal((n_steps, dim), out=out[i])
+    for row, g in zip(out, _rekeyed(master_seed, PATH, np.arange(n_paths), stream)):
+        g.standard_normal(out=row)
     return out

@@ -11,10 +11,11 @@ and mean-field fields share one sigma rule and one div a rule.
 
 Everything, the interacting particle systems of `meanfield` included, is
 integrated by Euler-Maruyama in one time loop, `_integrate`.  It draws an
-ensemble's noise once, one counter-based substream per path, and returns
-the ensemble as a PathEnsemble, through which every slice of a path, pair
-or particle cloud is read.  All weak-error checks in the package are
-satisfied by Euler-Maruyama, so no higher-order scheme is carried.
+ensemble's noise once, one counter-based substream per path, into the tail
+of that path's own row of the path array, and returns the ensemble as a
+PathEnsemble, through which every slice of a path, pair or particle cloud
+is read.  All weak-error checks in the package are satisfied by
+Euler-Maruyama, so no higher-order scheme is carried.
 
 Blow-up policy: a path whose state turns non-finite is listed in
 `PathEnsemble.aborted` and is NaN from that node on; the other paths
@@ -30,7 +31,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from ._rng import path_normals
+from ._rng import PATH, _key, path_normals
 from .measures import EmpiricalMeasure
 from .reports import ExperimentReport
 
@@ -298,27 +299,36 @@ def _checked_grid(times):
 def _integrate(x0_rows, times, advance, seed, stream, dim, interacting=False):
     """The package's one Euler time loop, under the module's blow-up policy.
 
-    Draws the rows' Brownian increments, row i from the substream keyed
-    (seed, stream, i) with dim coordinates per step, scales them in place by
-    sqrt(h), and steps: advance(t, h, x, dw) returns the (n_rows, width)
-    state at t + h as a new array, given the state x at t and the rows'
-    increments dw over the step.  An interacting ensemble halts at its first
-    blow-up; otherwise only the rows that blew up stop.  Returns the
-    PathEnsemble of the (n_rows, n_nodes, width) paths.  The grid must pass
-    _checked_grid.
+    Allocates only the (n_rows, n_nodes, width) path array.  Row i's
+    standard normals, from the substream keyed (seed, stream, i) with dim
+    coordinates per step, are drawn into the last n_steps * dim slots of
+    row i's own path buffer.  Step k scales its slot by sqrt(h) into dw and
+    then steps: advance(t, h, x, dw) returns the (n_rows, width) state at
+    t + h as a new array, given the state x at t and the rows' increments
+    dw over the step.  Node k + 1 is written only after step k has read its
+    noise; it ends at slot width * (k + 2), which for width >= dim is never
+    past the start of step k + 1's noise, so no unread noise is overwritten.
+    An interacting ensemble halts at its first blow-up; otherwise only the
+    rows that blew up stop.  Returns the PathEnsemble of the paths.  The
+    grid must pass _checked_grid.
     """
     times = _checked_grid(times)
     n_rows, width = x0_rows.shape
-    increments = path_normals(seed, n_rows, times.size - 1, dim, stream)
-    increments *= np.sqrt(np.diff(times))[None, :, None]
+    n_steps = times.size - 1
+    # the last row's key is the largest: check it before allocating the paths
+    _key(seed, PATH, n_rows - 1, stream)
     paths = np.empty((n_rows, times.size, width))
+    tail = paths.reshape(n_rows, -1)[:, (n_steps + 1) * width - n_steps * dim :]
+    noise = path_normals(seed, tail.reshape(n_rows, n_steps, dim), stream)
+    sqrt_h = np.sqrt(np.diff(times))
     paths[:, 0, :] = x0_rows
     x = x0_rows
     alive = np.ones(n_rows, dtype=bool)
     aborted = []
-    for k in range(times.size - 1):
+    for k in range(n_steps):
+        dw = noise[:, k, :] * sqrt_h[k]
         with np.errstate(over="ignore", invalid="ignore"):
-            x_new = advance(times[k], times[k + 1] - times[k], x, increments[:, k, :])
+            x_new = advance(times[k], times[k + 1] - times[k], x, dw)
         # rows are checked one by one only once some value is not finite
         if aborted or not np.isfinite(x_new).all():
             bad = alive & ~np.all(np.isfinite(x_new), axis=1)
@@ -385,7 +395,8 @@ def synchronous_pair(field1, field2, x1, x2, times, seed, n_pairs=1):
     stacked = _integrate(state0, times, advance, seed, 0, d)
     x, diff = stacked.paths[:, :, :d], stacked.paths[:, :, d:]
     with np.errstate(over="ignore"):
-        separation = np.linalg.norm(diff, axis=2)
+        # |D| as norm(axis=2) computes it, without the copy its conj() makes of D
+        separation = np.sqrt(np.add.reduce(diff * diff, axis=2))
         # the norm squares D: a finite D whose square overflowed is measured again scaled to unit size
         over = np.isinf(separation)
         if over.any():

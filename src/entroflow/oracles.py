@@ -369,8 +369,8 @@ def mismatch_bound(field1, field2, t, law_provider=None, n_mc=500, seed=0, n_nod
     laws are the first spec's own and each node's expectation is exact
     (_linear_node_values): no draws, so n_mc and seed are not read.  Their
     dimensions must agree and both horizons must reach t; a singular a2 or a
-    non-SPD covariance raises OracleError.  n_nodes, and for two fields
-    n_mc, must be integers >= 1.
+    non-SPD covariance raises OracleError.  t must be finite and > 0, and
+    n_nodes, and for two fields n_mc, integers >= 1.
 
     Time quadrature is a midpoint rule on n_nodes geometrically refined
     intervals with smallest node t*1e-4; probe decades extend down to t*1e-12
@@ -379,8 +379,8 @@ def mismatch_bound(field1, field2, t, law_provider=None, n_mc=500, seed=0, n_nod
     increments fail to decay toward zero, which is exactly the log-type
     blowup produced by a uniform diffusion gap.
     """
-    if t <= 0:
-        raise OracleError("need t > 0")
+    if not (math.isfinite(t) and t > 0):
+        raise OracleError(f"need a finite t > 0, got t={t}")
     linear = isinstance(field1, LinearSDESpec)
     if isinstance(field2, LinearSDESpec) != linear:
         raise OracleError("mismatch_bound needs two LinearSDESpecs or two coefficient fields")

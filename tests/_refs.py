@@ -5,8 +5,10 @@ enumeration, dense ODE stepping) and shares no code with the package paths
 it checks.  The two Euler loops are written out step by step as
 references for the package's shared stepping core; they take the Brownian
 increments as input, so they check the stepping and not the noise.  The
-Sinkhorn solver at the end is the package's earlier one, kept as the
-reference for the current solver's iterates.
+time loop with an increments array of its own is the package's earlier
+one, kept as the reference for the loop that draws each row's noise into
+its own path buffer.  The Sinkhorn solver at the end is the package's
+earlier one, kept as the reference for the current solver's iterates.
 """
 
 import itertools
@@ -17,6 +19,8 @@ from scipy.linalg import expm
 from scipy.special import logsumexp
 
 from entroflow import EmpiricalMeasure
+from entroflow._rng import path_normals
+from entroflow.dynamics import PathEnsemble, _checked_grid
 from entroflow.transport import SinkhornDivergedError, _cost_matrix
 
 
@@ -178,6 +182,42 @@ def td_ou_law_quad(x0, v0, c, a_scale, rate_integral, t):
     grow2, _ = quad(lambda s: np.exp(2.0 * rate_integral(s)), 0.0, t, epsabs=0.0, epsrel=1e-13, limit=200)
     decay = np.exp(-rate_integral(t))
     return decay * (x0 + c * grow), decay**2 * (v0 + 2.0 * a_scale * grow2)
+
+
+def scaled_increments(seed, n_rows, times, dim, stream=0):
+    """The rows' Brownian increments over the grid: row i's normals, from
+    the substream keyed (seed, stream, i), in a buffer of their own and
+    scaled by sqrt(h)."""
+    normals = path_normals(seed, np.empty((n_rows, times.size - 1, dim)), stream)
+    return normals * np.sqrt(np.diff(times))[None, :, None]
+
+
+def separate_increments_integrate(x0_rows, times, advance, seed, stream, dim, interacting=False):
+    """The Euler time loop with its (n_rows, n_steps, dim) increments drawn
+    first into an array of their own and scaled there in place; a drop-in
+    for dynamics._integrate, with its blow-up policy."""
+    times = _checked_grid(times)
+    n_rows, width = x0_rows.shape
+    increments = path_normals(seed, np.empty((n_rows, times.size - 1, dim)), stream)
+    increments *= np.sqrt(np.diff(times))[None, :, None]
+    paths = np.empty((n_rows, times.size, width))
+    paths[:, 0, :] = x0_rows
+    x = x0_rows
+    alive = np.ones(n_rows, dtype=bool)
+    aborted = []
+    for k in range(times.size - 1):
+        with np.errstate(over="ignore", invalid="ignore"):
+            x_new = advance(times[k], times[k + 1] - times[k], x, increments[:, k, :])
+        bad = alive & ~np.all(np.isfinite(x_new), axis=1)
+        if np.any(bad):
+            aborted.extend(np.nonzero(bad)[0].tolist())
+            if interacting:
+                paths[:, k + 1 :, :] = np.nan
+                break
+            alive &= ~bad
+        x_new[~alive] = np.nan
+        paths[:, k + 1, :] = x = x_new
+    return PathEnsemble(times=times, paths=paths, aborted=tuple(sorted(aborted)))
 
 
 def synchronous_pair_loop(field1, field2, x1, x2, times, increments):

@@ -10,18 +10,26 @@ from entroflow import (
     BridgeSpec,
     CoefficientField,
     DynamicsError,
+    GaussianMeasure,
     SemimartingaleWitness,
     bridge_path,
+    dynamics,
     euler_maruyama,
+    evolve_particles,
     exp_moment_certificate,
     synchronous_pair,
     time_grid,
 )
-from entroflow._rng import path_normals
 from entroflow.dynamics import _noise
-from entroflow.catalog import constant_drift_field, dini_power_drift_field, heat_field, ou_field
+from entroflow.catalog import constant_drift_field, dini_power_drift_field, heat_field, mean_field_ou, ou_field
 
-from _refs import coupled_ou_second_moment, ou_law_1d, synchronous_pair_loop
+from _refs import (
+    coupled_ou_second_moment,
+    ou_law_1d,
+    scaled_increments,
+    separate_increments_integrate,
+    synchronous_pair_loop,
+)
 
 #: grids the Euler loop refuses: a step backwards, a NaN node, two dimensions
 BAD_GRIDS = ([0.0, 0.5, 0.2, 1.0], [0.0, math.nan, 1.0], [[0.0, 0.5], [0.5, 1.0]])
@@ -172,7 +180,7 @@ class TestEulerMaruyama:
         # an ensemble of a catalog field against the step loop written with einsum
         f, grid, x0 = ou_field(2, rate=1.0, a_scale=0.5), time_grid(1.0, 32), np.array([1.0, -1.0])
         ens = euler_maruyama(f, x0, grid, seed=5, n_paths=64)
-        dws = path_normals(5, 64, 32, 2) * np.sqrt(np.diff(grid))[None, :, None]
+        dws = scaled_increments(5, 64, grid, 2)
         x = np.tile(x0, (64, 1))
         for k in range(32):
             h = grid[k + 1] - grid[k]
@@ -248,7 +256,7 @@ class TestSynchronousPair:
         x1, x2 = np.array([0.3, -0.2]), np.array([1.1, 0.4])
         grid = time_grid(1.0, 64)
         pair = synchronous_pair(f1, f2, x1, x2, grid, seed=21, n_pairs=16)
-        incs = path_normals(21, 16, 64, 2) * np.sqrt(np.diff(grid))[None, :, None]
+        incs = scaled_increments(21, 16, grid, 2)
         p1, p2, sep = synchronous_pair_loop(f1, f2, x1, x2, grid, incs)
         assert np.array_equal(pair.first.paths, p1)
         assert np.array_equal(pair.second.paths, p2)
@@ -290,8 +298,10 @@ class TestSynchronousPair:
 
     def test_peak_memory_at_most_five_ensembles(self):
         # the components are written into the two halves of the stacked
-        # [X1, D] buffer: about four path-sized arrays are alive at the peak,
-        # seven when both halves were copied out and X1 - D formed beside them
+        # [X1, D] buffer, which also holds the noise, and |D| is summed from
+        # one D * D temporary: 3.5 path-sized arrays are alive at the peak
+        # (d = 2), 4 when the noise had an array of its own, seven when both
+        # halves were copied out and X1 - D formed beside them
         f = heat_field(2)
         grid = time_grid(1.0, 256)
         synchronous_pair(f, f, [0.0, 0.0], [1.0, 0.0], grid, seed=1, n_pairs=2)
@@ -301,7 +311,60 @@ class TestSynchronousPair:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 5 * pair.first.paths.nbytes
+        assert peak <= 3.75 * pair.first.paths.nbytes
+
+
+class TestNoiseInPathBuffer:
+    """The Euler loop draws each row's noise into the tail of the row's own
+    path buffer; it must step exactly as the loop that kept the increments
+    in an array of their own, and peak at about one path array."""
+
+    def test_pair_wider_than_noise_matches_separate_increments(self, monkeypatch):
+        # the stacked [X1, D] state is 2d wide against d noise coordinates per step
+        f1, f2 = ou_field(3, 1.0, 0.5), dini_power_drift_field(3)
+        x1, x2 = np.array([0.3, -0.2, 0.9]), np.array([1.1, 0.4, -0.5])
+        grid = time_grid(1.0, 48)
+        pair = synchronous_pair(f1, f2, x1, x2, grid, seed=13, n_pairs=24)
+        monkeypatch.setattr(dynamics, "_integrate", separate_increments_integrate)
+        ref = synchronous_pair(f1, f2, x1, x2, grid, seed=13, n_pairs=24)
+        assert np.array_equal(pair.first.paths, ref.first.paths)
+        assert np.array_equal(pair.second.paths, ref.second.paths)
+        assert np.array_equal(pair.separation, ref.separation)
+
+    def test_row_blowup_matches_separate_increments(self, monkeypatch):
+        grid = time_grid(0.1, 16)
+        ens = euler_maruyama(quintic_field(), [1.5], grid, seed=2, n_paths=8)
+        # some rows blow up, each NaN from its blow-up node on, and the rest finish
+        assert 0 < len(ens.aborted) < 8
+        for i in ens.aborted:
+            first = int(np.argmax(np.isnan(ens.paths[i, :, 0])))
+            assert np.isfinite(ens.paths[i, :first]).all() and np.isnan(ens.paths[i, first:]).all()
+        assert np.isfinite(np.delete(ens.paths, ens.aborted, axis=0)).all()
+        monkeypatch.setattr(dynamics, "_integrate", separate_increments_integrate)
+        ref = euler_maruyama(quintic_field(), [1.5], grid, seed=2, n_paths=8)
+        assert ens.aborted == ref.aborted
+        assert np.array_equal(ens.paths, ref.paths, equal_nan=True)
+
+    @pytest.mark.parametrize("kind", ["euler", "bridge", "particles"])
+    def test_peak_memory_is_one_path_array(self, kind):
+        # the noise lives in the path buffer: the peak is the paths plus
+        # per-step arrays (2.05 path arrays with a separate increments array)
+        f, grid = ou_field(2, 1.0, 0.5), time_grid(1.0, 256)
+        runs = {
+            "euler": lambda n: euler_maruyama(f, [0.5, 0.0], grid, seed=1, n_paths=n),
+            "bridge": lambda n: bridge_path(BridgeSpec(f, heat_field(2), 1.0, 0.3), [0.5, 0.0], grid, seed=1, n_paths=n),
+            "particles": lambda n: evolve_particles(
+                mean_field_ou(2, 1.0, 0.5), GaussianMeasure([0.5, 0.0], 0.5 * np.eye(2)), n, grid, seed=1
+            ),
+        }
+        runs[kind](2)
+        tracemalloc.start()
+        try:
+            ens = runs[kind](2000)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.25 * ens.paths.nbytes
 
 
 class TestBridgePath:

@@ -15,17 +15,17 @@ from entroflow import (
     euler_maruyama,
     evolve_particles,
     flow_map,
+    meanfield,
     time_grid,
     w2_exact,
     w2_stability_experiment,
 )
 from entroflow.catalog import make_mv_field, mean_field_ou, ou_field
 from entroflow.dynamics import _step
-from entroflow._rng import path_normals
 from entroflow.meanfield import _initial_cloud
 from entroflow.reports import ExperimentError
 
-from _refs import particle_loop
+from _refs import particle_loop, scaled_increments, separate_increments_integrate
 
 
 def septic_field():
@@ -114,7 +114,7 @@ class TestEvolveParticles:
         n, steps = 32, 16
         times = time_grid(0.25, steps)
         x0 = rng.standard_normal((n, 1))
-        incs = path_normals(99, n, steps, 1) * np.sqrt(np.diff(times))[None, :, None]
+        incs = scaled_increments(99, n, times, 1)
         perm = rng.permutation(n)
 
         def run(x_init, noise):
@@ -141,13 +141,23 @@ class TestEvolveParticles:
         with pytest.raises(Exception):
             ens.terminal_measure()
 
+    def test_halt_matches_separate_increments(self, monkeypatch):
+        # the halt NaN-fills the rest of every row, unread noise included
+        ens = evolve_particles(septic_field(), EmpiricalMeasure([[4.0]]), 8, time_grid(4.0, 6), seed=8)
+        halt = int(np.argmax(np.isnan(ens.paths[0, :, 0])))
+        assert 0 < halt < 6 and np.isnan(ens.paths[:, halt:]).all()
+        monkeypatch.setattr(meanfield, "_integrate", separate_increments_integrate)
+        ref = evolve_particles(septic_field(), EmpiricalMeasure([[4.0]]), 8, time_grid(4.0, 6), seed=8)
+        assert ens.aborted == ref.aborted
+        assert np.array_equal(ens.paths, ref.paths, equal_nan=True)
+
     def test_bit_identical_to_reference_loop(self):
         field = mean_field_ou(2, rate=0.7, a_scale=0.5)
         init = GaussianMeasure([0.5, -0.2], [[0.5, 0.1], [0.1, 0.3]])
         grid = time_grid(0.5, 40)
         ens = evolve_particles(field, init, 64, grid, seed=22, stream=3)
         x0 = _initial_cloud(init, 64, 22, 3)
-        incs = path_normals(22, 64, 40, 2, 3) * np.sqrt(np.diff(grid))[None, :, None]
+        incs = scaled_increments(22, 64, grid, 2, 3)
         assert np.array_equal(ens.paths, particle_loop(field, x0, grid, incs))
 
     def test_initial_dimension_checked(self):

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -598,6 +599,21 @@ class TestLinearMismatchBound:
         for name in ("n_nodes", "n_mc"):
             with pytest.raises(OracleError, match=f"{name} must be an integer >= 1"):
                 mismatch_bound(f1, f2, 0.5, law, **{name: count})
+
+    @pytest.mark.parametrize("t", [math.inf, math.nan])
+    @pytest.mark.parametrize("kind", ["fields", "specs"])
+    def test_nonfinite_t_rejected(self, t, kind):
+        # unchecked, t = inf reached numpy's geomspace warning (fields) or a
+        # horizon error that did not name t (specs)
+        spec1, spec2 = heat_spec(1, 1.0), constant_drift_spec(1, 1.0, 1.0)
+        if kind == "fields":
+            args = (heat_field(1, 1.0), constant_drift_field(1, 1.0, 1.0), t, lambda s: linear_sde_law(spec1, s))
+        else:
+            args = (spec1, spec2, t)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(OracleError, match=r"finite t > 0, got t="):
+                mismatch_bound(*args)
 
 
 class TestBridgeLaw:

@@ -25,27 +25,36 @@ class TestPathNormals:
         [(0, 5, 2, 0), (1, 4, 3, 0), (300, 6, 3, 65535), (257, 0, 3, 0), (3, 17, 1, 12)],
     )
     def test_bit_identical_to_fresh_generator_per_row(self, seed, n_paths, n_steps, dim, stream):
-        out = path_normals(seed, n_paths, n_steps, dim, stream)
-        assert out.shape == (n_paths, n_steps, dim)
+        buf = np.empty((n_paths, n_steps, dim))
+        out = path_normals(seed, buf, stream)
+        assert out is buf
         assert np.array_equal(out, fresh_rows(seed, n_paths, n_steps, dim, stream))
+
+    def test_row_draws_do_not_depend_on_where_rows_are_stored(self):
+        # rows as the tails of wider rows, the layout of the Euler loop's path buffer
+        wide = np.full((40, 50), -7.0)
+        tail = wide[:, 50 - 9 * 3 :].reshape(40, 9, 3)
+        path_normals(11, tail, 2)
+        assert np.array_equal(tail, fresh_rows(11, 40, 9, 3, 2))
+        assert np.all(wide[:, : 50 - 9 * 3] == -7.0)
 
     def test_stream_out_of_range_rejected(self):
         with pytest.raises(ValueError, match="id out of range"):
-            path_normals(0, 4, 3, 2, stream=2**16)
+            path_normals(0, np.empty((4, 3, 2)), stream=2**16)
         with pytest.raises(ValueError, match="id out of range"):
-            path_normals(0, 0, 3, 2, stream=-1)
+            path_normals(0, np.empty((0, 3, 2)), stream=-1)
 
     def test_row_count_checked_before_the_loop(self):
         # the last row's index is checked up front: a late check would
-        # iterate 2**40 empty rows before failing
+        # first try to build a key for each of the 2**40 empty rows
         with pytest.raises(ValueError, match="index out of range"):
-            path_normals(0, 2**40 + 1, 0, 0)
+            path_normals(0, np.empty((2**40 + 1, 0, 0)))
 
     def test_seeds_outside_signed_range_give_distinct_keys(self):
         seeds = [-1, 0, 2**63 + 1, 2**63 + 2]
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            outs = [path_normals(s, 3, 4, 2) for s in seeds]
+            outs = [path_normals(s, np.empty((3, 4, 2))) for s in seeds]
             keys = [substream(s, PATH, 5, 9).bit_generator.state["state"]["key"] for s in seeds]
         for i in range(len(seeds)):
             for j in range(i):
@@ -65,6 +74,12 @@ class TestRekeyed:
             # the next re-key must discard it
             assert np.array_equal(g.integers(0, 2**31, 3, dtype=np.int32), ref.integers(0, 2**31, 3, dtype=np.int32))
             assert np.array_equal(g.standard_normal(7), ref.standard_normal(7))
+
+    def test_largest_index_checked(self):
+        with pytest.raises(ValueError, match="index out of range"):
+            next(_rekeyed(0, DRAW, [3, 2**40, 0]))
+        with pytest.raises(ValueError, match="index out of range"):
+            next(_rekeyed(0, DRAW, [3, -1]))
 
 
 class TestOnePhiloxPerEnsemble:

@@ -21,32 +21,28 @@ DRAW = 2  # generic Monte Carlo draws (measure sampling, quadrature nodes)
 _MASK64 = (1 << 64) - 1
 
 
-def _key(master_seed, kind, index, stream):
-    """The Philox key of substream (master_seed, kind, stream, index) as a
-    uint64 array; index < 2**40, stream < 2**16, kind < 2**8."""
-    if not (0 <= index < 1 << 40):
-        raise ValueError("substream index out of range")
-    if not (0 <= stream < 1 << 16):
-        raise ValueError("substream id out of range")
-    word = (kind << 56) | (stream << 40) | int(index)
-    return np.array([int(master_seed) & _MASK64, word], dtype=np.uint64)
-
-
 def substream(master_seed, kind, index=0, stream=0):
     """Philox generator keyed by (master_seed, kind, stream, index).
 
     index < 2**40, stream < 2**16, kind < 2**8.
     """
-    return np.random.Generator(np.random.Philox(key=_key(master_seed, kind, index, stream)))
+    return np.random.Generator(np.random.Philox(key=_keys(master_seed, kind, [index], stream)[0]))
 
 
 def _keys(master_seed, kind, indices, stream=0):
     """The Philox keys of substreams (master_seed, kind, stream, index), one
     uint64 row per index of the integer array indices: an (n, 2) array
-    built at once, its range checked on the largest index."""
-    # as uint64 a negative index wraps past 2**40, so the largest index checks them all
-    indices = np.asarray(indices).astype(np.uint64)
-    _key(master_seed, kind, int(indices.max(initial=0)), stream)
+    built at once.  The one key rule: index < 2**40 and stream < 2**16,
+    the index range checked on the largest index."""
+    try:
+        # as uint64 a negative index wraps past 2**40, so the largest index checks them all
+        indices = np.asarray(indices).astype(np.uint64)
+    except OverflowError:  # an index past 64 bits
+        raise ValueError("substream index out of range") from None
+    if int(indices.max(initial=0)) >= 1 << 40:
+        raise ValueError("substream index out of range")
+    if not (0 <= stream < 1 << 16):
+        raise ValueError("substream id out of range")
     keys = np.empty((indices.size, 2), dtype=np.uint64)
     keys[:, 0] = int(master_seed) & _MASK64
     keys[:, 1] = np.uint64((kind << 56) | (stream << 40)) | indices
@@ -86,7 +82,7 @@ def path_normals(master_seed, out, stream=0):
     """
     n_paths = out.shape[0]
     # the last row's key is the largest: check it before building every key
-    _key(master_seed, PATH, max(n_paths - 1, 0), stream)
+    _keys(master_seed, PATH, [max(n_paths - 1, 0)], stream)
     for row, g in zip(out, _rekeyed(master_seed, PATH, np.arange(n_paths), stream)):
         g.standard_normal(out=row)
     return out

@@ -31,7 +31,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from ._rng import PATH, _key, path_normals
+from ._rng import PATH, _keys, path_normals
 from .measures import EmpiricalMeasure
 from .reports import ExperimentReport
 
@@ -316,7 +316,7 @@ def _integrate(x0_rows, times, advance, seed, stream, dim, interacting=False):
     n_rows, width = x0_rows.shape
     n_steps = times.size - 1
     # the last row's key is the largest: check it before allocating the paths
-    _key(seed, PATH, n_rows - 1, stream)
+    _keys(seed, PATH, [n_rows - 1], stream)
     paths = np.empty((n_rows, times.size, width))
     tail = paths.reshape(n_rows, -1)[:, (n_steps + 1) * width - n_steps * dim :]
     noise = path_normals(seed, tail.reshape(n_rows, n_steps, dim), stream)

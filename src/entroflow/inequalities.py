@@ -10,7 +10,7 @@ against a reference value.
 """
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
@@ -19,7 +19,7 @@ from ._rng import DRAW, substream
 from .divergence import _interpolation_right, kl_gaussian, kl_knn
 from .meanfield import _checked_grid, _grid_stats, _particle_times, evolve_particles
 from .measures import EmpiricalMeasure, GaussianMeasure, gaussian_sample
-from .oracles import bridge_law_linear, linear_sde_law, linear_sde_laws, mismatch_bound
+from .oracles import _coefficients, _from_point, bridge_law_linear, linear_sde_law, linear_sde_laws, mismatch_bound
 from .reports import ExperimentError, ExperimentReport, classify
 from .transport import w2_empirical_ot, w2_exact, w2_gaussian
 
@@ -89,24 +89,14 @@ def talagrand_experiment(nu, seed=0):
 
 
 def _is_standard_heat(spec):
-    a_fn, c_fn, s_fn, const = spec.parts()
-    if not const:
+    if not spec._constant:
         return False
-    d = spec.dim
-    return (
-        np.max(np.abs(a_fn(0.0))) < 1e-12
-        and np.max(np.abs(c_fn(0.0))) < 1e-12
-        and np.max(np.abs(s_fn(0.0) @ s_fn(0.0).T - 2.0 * np.eye(d))) < 1e-12
-    )
+    (a,), (c,), (q,) = _coefficients(spec, ())
+    return max(np.max(np.abs(a)), np.max(np.abs(c)), np.max(np.abs(q - 2.0 * np.eye(spec.dim)))) < 1e-12
 
 
 #: the entropy-cost rate check: max_t t*Ent within this factor of its last value
 BOUND_FACTOR = 10.0
-
-
-def _from_point(spec, x):
-    """spec started at the point x (checked against spec.dim by LinearSDESpec)."""
-    return replace(spec, initial_mean=x, initial_cov=None)
 
 
 def entropy_cost_experiment(spec1, spec2, x1, x2, t_grid):

@@ -19,7 +19,7 @@ linear specs), and the switched-generator (bridge) law.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from numbers import Integral
 from typing import Callable, Optional, Union
 
@@ -55,13 +55,19 @@ class OracleError(ValueError):
     pass
 
 
+#: a spec's coefficient fields, each with whether it is a matrix
+_COEFFICIENTS = (("drift_matrix", True), ("drift_offset", False), ("noise", True))
+
+
 def _resolve(val, d, name, matrix):
-    """(fn of t, is constant) for one coefficient: a callable as given, or a
-    constant checked against (d, d) (a scalar times the identity) or (d,)
-    (a single value filled across d)."""
+    """One coefficient as stored: a callable as given, or a finite constant
+    checked against (d, d) (a scalar times the identity) or (d,) (a single
+    value filled across d)."""
     if callable(val):
-        return val, False
+        return val
     arr = np.asarray(val, dtype=float)
+    if not np.all(np.isfinite(arr)):
+        raise OracleError(f"{name} must be finite")
     if matrix:
         shape, kind = (d, d), f"a {d}x{d} matrix"
         if arr.shape == ():
@@ -73,17 +79,18 @@ def _resolve(val, d, name, matrix):
             arr = np.full(d, float(arr[0]))
     if arr.shape != shape:
         raise OracleError(f"{name} must be {kind}")
-    return (lambda t, a=arr: a), True
+    return arr
 
 
 @dataclass(frozen=True)
 class LinearSDESpec:
     """dX = (A(t) X + c(t)) dt + S(t) dW with constant-in-x noise, a = S S'/2.
 
-    A, c, S may be constants (arrays/scalars) or callables of t.  The initial
-    law is Gaussian or a point (zero covariance).  Constant coefficients are
-    shape-checked at construction.  Laws are defined on [0, horizon]; for
-    callable coefficients the horizon also sets the longest RK4 step,
+    A, c, S may be constants (arrays/scalars) or callables of t; each is
+    stored as given, a constant after its shape and finiteness check.  The
+    initial law is Gaussian or a point (zero covariance), with a finite
+    mean and covariance.  Laws are defined on [0, horizon]; for callable
+    coefficients the horizon also sets the longest RK4 step,
     horizon / RK4_STEPS.
     """
 
@@ -94,26 +101,27 @@ class LinearSDESpec:
     initial_mean: np.ndarray
     initial_cov: Optional[np.ndarray] = None
     horizon: float = 1.0
-    _parts: tuple = field(init=False, repr=False, compare=False)
+    _constant: bool = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not (math.isfinite(self.horizon) and self.horizon > 0):
             raise OracleError("horizon must be positive and finite")
         object.__setattr__(self, "initial_mean", np.asarray(self.initial_mean, dtype=float).reshape(-1))
         if self.initial_mean.size != self.dim:
-            raise OracleError("initial mean dimension mismatch")
+            raise OracleError(f"initial mean has {self.initial_mean.size} coordinates, the spec has {self.dim}")
         cov = self.initial_cov
         cov = np.zeros((self.dim, self.dim)) if cov is None else np.asarray(cov, dtype=float)
         if cov.shape != (self.dim, self.dim):
             raise OracleError("initial covariance shape mismatch")
+        if not (np.all(np.isfinite(self.initial_mean)) and np.all(np.isfinite(cov))):
+            raise OracleError("initial mean and covariance must be finite")
         eig = np.linalg.eigvalsh(0.5 * (cov + cov.T))
         if eig[0] < -1e-12:
             raise OracleError("initial covariance must be positive semidefinite")
         object.__setattr__(self, "initial_cov", 0.5 * (cov + cov.T))
-        a_fn, a_const = _resolve(self.drift_matrix, self.dim, "drift_matrix", True)
-        c_fn, c_const = _resolve(self.drift_offset, self.dim, "drift_offset", False)
-        s_fn, s_const = _resolve(self.noise, self.dim, "noise", True)
-        object.__setattr__(self, "_parts", (a_fn, c_fn, s_fn, a_const and c_const and s_const))
+        for name, matrix in _COEFFICIENTS:
+            object.__setattr__(self, name, _resolve(getattr(self, name), self.dim, name, matrix))
+        object.__setattr__(self, "_constant", not any(callable(getattr(self, name)) for name, _ in _COEFFICIENTS))
 
     @classmethod
     def from_gaussian(cls, g, drift_matrix, drift_offset, noise, horizon=1.0):
@@ -124,9 +132,32 @@ class LinearSDESpec:
         x0 = np.asarray(x0, dtype=float).reshape(-1)
         return cls(x0.size, drift_matrix, drift_offset, noise, x0, None, horizon)
 
-    def parts(self):
-        """(A, c, S) as functions of t, and whether all three are constant."""
-        return self._parts
+
+def _from_point(spec, x):
+    """spec started at the point x (checked against spec.dim by LinearSDESpec)."""
+    return replace(spec, initial_mean=x, initial_cov=None)
+
+
+def _coefficients(spec, times):
+    """A (n, d, d), c (n, d) and S S' (n, d, d) of spec at each of n times,
+    stacked: the one reader of a spec's coefficients.  A constant spec gives
+    one slice for any times; otherwise each callable is evaluated once per
+    time, naming in an OracleError the first time its value is not finite,
+    and each constant is repeated over the times."""
+    n = 1 if spec._constant else len(times)
+    out = []
+    for name, _ in _COEFFICIENTS:
+        val = getattr(spec, name)
+        if callable(val):
+            arr = np.array([val(t) for t in times], dtype=float)
+            if not np.isfinite(arr).all():
+                first = np.argmin(np.isfinite(arr.reshape(n, -1)).all(axis=1))
+                raise OracleError(f"{name} is not finite at t={times[first]}")
+        else:
+            arr = val[None].repeat(n, axis=0)
+        out.append(arr)
+    a, c, s = out
+    return a, c, s @ s.transpose(0, 2, 1)
 
 
 def _propagate_const(a, c, q, m0, c0, taus):
@@ -172,21 +203,15 @@ def _moment_path(spec, m0, c0, t_start, times):
 
     Constant coefficients use the Van Loan closed form over all t - t_start at once.
     Callable coefficients are integrated forward once across the times; the
-    span up to each time takes _rk4_steps(span, spec.horizon) equal steps, their
-    stage times counted from the span start and the last one the queried time.
-    A, c and S S' are evaluated once per distinct stage time: k2 and k3
-    share the midpoint, and k4's endpoint values are the next step's k1, so
-    a span of n steps makes 2n + 1 calls to each coefficient function.
+    span from t up to each time takes n = _rk4_steps(span, spec.horizon)
+    equal steps of length h, with stage k at t + (k / 2) h for k < 2n and
+    the last stage the queried time.  Step i reads stages 2i, 2i + 1 (shared
+    by k2 and k3) and 2i + 2 (the next step's start), so a span makes
+    2n + 1 calls to each coefficient function, all in one _coefficients read.
     """
-    a_fn, c_fn, s_fn, const = spec.parts()
-    if const:
-        s = s_fn(0.0)
-        a, c, q = a_fn(0.0), c_fn(0.0), s @ s.T
+    if spec._constant:
+        (a,), (c,), (q,) = _coefficients(spec, times)
         return _propagate_const(a, c, q, m0, c0, np.asarray(times, dtype=float) - t_start)
-
-    def coefficients(t):
-        s = s_fn(t)
-        return a_fn(t), c_fn(t), s @ s.T
 
     def rhs(coef, m, cov):
         a, c, q = coef
@@ -197,17 +222,17 @@ def _moment_path(spec, m0, c0, t_start, times):
     for t_end in times:
         n = _rk4_steps(t_end - t, spec.horizon)
         h = (t_end - t) / n
-        k_start = coefficients(t)
+        stages = t + (np.arange(2 * n + 1) / 2) * h
+        stages[-1] = t_end
+        coef = list(zip(*_coefficients(spec, stages)))
         for i in range(n):
-            k_mid = coefficients(t + (i + 0.5) * h)
-            k_end = coefficients(t_end if i == n - 1 else t + (i + 1) * h)
+            k_start, k_mid, k_end = coef[2 * i : 2 * i + 3]
             k1m, k1c = rhs(k_start, m, cov)
             k2m, k2c = rhs(k_mid, m + 0.5 * h * k1m, cov + 0.5 * h * k1c)
             k3m, k3c = rhs(k_mid, m + 0.5 * h * k2m, cov + 0.5 * h * k2c)
             k4m, k4c = rhs(k_end, m + h * k3m, cov + h * k3c)
             m = m + (h / 6.0) * (k1m + 2 * k2m + 2 * k3m + k4m)
             cov = cov + (h / 6.0) * (k1c + 2 * k2c + 2 * k3c + k4c)
-            k_start = k_end
         means.append(m)
         covs.append(0.5 * (cov + cov.T))
         t = t_end
@@ -215,6 +240,9 @@ def _moment_path(spec, m0, c0, t_start, times):
 
 
 def _law_at(m, cov, t):
+    """The Gaussian law N(m, cov) at time t; a zero covariance is a point mass."""
+    if not cov.any():
+        raise OracleError(f"law at t={t} is a point mass, not a Gaussian")
     try:
         return GaussianMeasure(m, cov)
     except MeasureError as exc:
@@ -246,9 +274,7 @@ def linear_sde_laws(spec, times):
     """
     times = _check_times(times, spec.horizon)
     n_zero = times.count(0.0)
-    if n_zero and np.all(spec.initial_cov == 0.0):
-        raise OracleError("law at t=0 for a point start is a point mass, not a Gaussian")
-    start = [GaussianMeasure(spec.initial_mean, spec.initial_cov) for _ in range(n_zero)]
+    start = [_law_at(spec.initial_mean, spec.initial_cov, 0.0) for _ in range(n_zero)]
     means, covs = _moment_path(spec, spec.initial_mean, spec.initial_cov, 0.0, times[n_zero:])
     return start + [_law_at(m, cov, t) for m, cov, t in zip(means, covs, times[n_zero:])]
 
@@ -318,17 +344,6 @@ def _node_values(field1, field2, law_provider, mids, keys, n_mc, seed):
     return vals
 
 
-def _coefficients_at(spec, times):
-    """A (n, d, d), c (n, d, 1) and a = S S'/2 (n, d, d) of spec at each time;
-    a constant spec gives one slice that broadcasts over the times."""
-    a_fn, c_fn, s_fn, const = spec.parts()
-    at = [0.0] if const else times
-    s = np.array([s_fn(u) for u in at], dtype=float)
-    a_mat = np.array([a_fn(u) for u in at], dtype=float)
-    c = np.array([c_fn(u) for u in at], dtype=float)[:, :, None]
-    return a_mat, c, 0.5 * (s @ s.transpose(0, 2, 1))
-
-
 def _linear_node_values(spec1, spec2, mids):
     """0.5 E|a2^{-1/2} Phi(s, X_s)|^2 at each time s of mids, exactly, for two
     linear specs, the first giving the law X_s ~ N(m, C).
@@ -340,15 +355,16 @@ def _linear_node_values(spec1, spec2, mids):
     laws = linear_sde_laws(spec1, mids)
     m = np.array([law.mean for law in laws])[:, :, None]
     cov = np.array([law.cov for law in laws])
-    a_mat1, c1, a1 = _coefficients_at(spec1, mids)
-    a_mat2, c2, a2 = _coefficients_at(spec2, mids)
+    a_mat1, c1, q1 = _coefficients(spec1, mids)
+    a_mat2, c2, q2 = _coefficients(spec2, mids)
+    a1, a2 = 0.5 * q1, 0.5 * q2
     eig = np.linalg.eigvalsh(a2)
     if not np.all(eig[:, 0] > SPD_RTOL * eig[:, -1]):
         raise OracleError("the second diffusion matrix a2 is singular")
     a2_inv = np.linalg.inv(a2)
     gap = a_mat2 - a_mat1
     mat = gap - (a1 - a2) @ np.linalg.inv(cov)
-    shift = gap @ m + (c2 - c1)
+    shift = gap @ m + (c2 - c1)[:, :, None]
     quad = (shift.transpose(0, 2, 1) @ a2_inv @ shift)[:, 0, 0]
     spread = np.trace(a2_inv @ mat @ cov @ mat.transpose(0, 2, 1), axis1=1, axis2=2)
     return 0.5 * (quad + spread)
@@ -437,12 +453,8 @@ def bridge_law_linear(spec1, spec2, x1, t0, t1):
         raise OracleError("spec dimensions differ")
     _check_times([t0], spec1.horizon)
     _check_times([t0, t1], spec2.horizon)
-    if t1 == 0:
-        raise OracleError("law at t=0 for a point start is a point mass, not a Gaussian")
-    x1 = np.asarray(x1, dtype=float).reshape(-1)
-    if x1.size != spec1.dim:
-        raise OracleError(f"start point has {x1.size} coordinates, the specs have {spec1.dim}")
-    m, cov = x1, np.zeros((spec1.dim, spec1.dim))
+    start = _from_point(spec1, x1)
+    m, cov = start.initial_mean, start.initial_cov
     if t0 > 0:
         (m,), (cov,) = _moment_path(spec1, m, cov, 0.0, [t0])
     if t1 > t0:

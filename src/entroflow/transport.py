@@ -45,12 +45,14 @@ class CouplingPlan:
     """A transport plan between two empirical measures.
 
     matrix[i, j] is the mass moved from mu point i to nu point j; row sums
-    equal mu.weights, column sums equal nu.weights (within 1e-9), and cost
-    is sum_ij matrix[i,j] |x_i - y_j|^2.
+    equal mu.weights, column sums equal nu.weights, and cost is
+    sum_ij matrix[i,j] |x_i - y_j|^2.
 
     Entropic plans also carry the iteration count of their Sinkhorn solve
     and the measured marginal error of the returned matrix; exact plans
-    leave both None.
+    leave both None.  validate() holds a plan that carries its iterations
+    to the marginals within SINKHORN_TOL, the tolerance it was solved to,
+    and an exact plan within 1e-9.
     """
 
     __slots__ = ("mu", "nu", "matrix", "cost", "debiased_cost", "iterations", "marginal_error")
@@ -72,8 +74,9 @@ class CouplingPlan:
     def validate(self):
         if np.any(self.matrix < -1e-9):
             raise TransportError("plan has negative mass")
-        if self.marginal_violation() > 1e-9:
-            raise TransportError("plan marginals violated beyond 1e-9")
+        tol = 1e-9 if self.iterations is None else SINKHORN_TOL
+        if self.marginal_violation() > tol:
+            raise TransportError(f"plan marginals violated beyond {tol:g}")
         ref = float(np.sum(self.matrix * _cost_matrix(self.mu, self.nu)))
         if abs(ref - self.cost) > 1e-9 * max(1.0, abs(ref)):
             raise TransportError("stored cost disagrees with the plan")

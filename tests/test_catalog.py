@@ -10,6 +10,7 @@ from entroflow.catalog import (
     make_linear_spec,
     make_mv_field,
 )
+from entroflow.oracles import _coefficients
 
 
 class TestCatalog:
@@ -67,11 +68,11 @@ class TestCatalog:
                 field = make_field(name, d, **params)
                 spec = make_linear_spec(name, d, **params)
                 assert field.dim == spec.dim == d
-                a_fn, c_fn, s_fn, _ = spec.parts()
+                (a,), (c,), (q,) = _coefficients(spec, [0.3])
                 x = rng.normal(scale=2.0, size=(6, d))
-                np.testing.assert_allclose(field.drift(0.3, x), x @ a_fn(0.3).T + c_fn(0.3), rtol=1e-14, atol=1e-14)
+                np.testing.assert_allclose(field.drift(0.3, x), x @ a.T + c, rtol=1e-14, atol=1e-14)
                 two_a = np.broadcast_to(2.0 * params["a"] * np.eye(d), (6, d, d))
                 sig = field.sigma(0.3, x)
                 np.testing.assert_allclose(sig @ sig.transpose(0, 2, 1), two_a, rtol=1e-14, atol=1e-14)
-                np.testing.assert_allclose(s_fn(0.3) @ s_fn(0.3).T, two_a[0], rtol=1e-14, atol=1e-14)
+                np.testing.assert_allclose(q, two_a[0], rtol=1e-14, atol=1e-14)
                 np.testing.assert_array_equal(field.diffusion(0.3, x), two_a / 2.0)

@@ -33,7 +33,7 @@ from entroflow.catalog import (
     ou_field,
     ou_spec,
 )
-from entroflow.oracles import RK4_STEPS, _linear_node_values, _node_values
+from entroflow.oracles import RK4_STEPS, _coefficients, _linear_node_values, _node_values
 
 from _refs import rk4_moments_fixed, td_ou_law_quad, van_loan_moments
 
@@ -175,19 +175,23 @@ class TestMomentPath:
         a_fn = lambda t: np.array([[-_rate(t), 0.3], [0.1 * t, -1.0]])
         c_fn = lambda t: np.array([t, 1.0])
         s_fn = lambda t: np.array([[1.0, 0.2 * t], [0.0, 1.1]])
-        for horizon in (0.007, 0.5, 1.0, 3.0):
-            spec = LinearSDESpec.from_gaussian(g, a_fn, c_fn, s_fn, horizon=horizon)
-            law = linear_sde_law(spec, spec.horizon)
-            m, cov = rk4_moments_fixed(a_fn, c_fn, s_fn, g.mean, g.cov, 0.0, horizon)
-            assert np.array_equal(law.mean, m)
-            assert np.array_equal(law.cov, cov)
-            # a bridge switched at 0 runs the second spec alone from the point
-            x1 = np.array([0.3, 0.1])
-            point = LinearSDESpec.from_point(x1, a_fn, c_fn, s_fn, horizon=horizon)
-            law = bridge_law_linear(point, point, x1, 0.0, horizon)
-            m, cov = rk4_moments_fixed(a_fn, c_fn, s_fn, x1, np.zeros((2, 2)), 0.0, horizon)
-            assert np.array_equal(law.mean, m)
-            assert np.array_equal(law.cov, cov)
+        c, s = np.array([0.2, 1.0]), np.array([[1.0, 0.0], [0.3, 1.1]])
+        # every coefficient a callable, and a mixed spec: a callable A with
+        # constant c and S, which the reader broadcasts over the stage times
+        for coefficients, fns in (((a_fn, c_fn, s_fn),) * 2, ((a_fn, c, s), (a_fn, lambda t: c, lambda t: s))):
+            for horizon in (0.007, 0.5, 1.0, 3.0):
+                spec = LinearSDESpec.from_gaussian(g, *coefficients, horizon=horizon)
+                law = linear_sde_law(spec, spec.horizon)
+                m, cov = rk4_moments_fixed(*fns, g.mean, g.cov, 0.0, horizon)
+                assert np.array_equal(law.mean, m)
+                assert np.array_equal(law.cov, cov)
+                # a bridge switched at 0 runs the second spec alone from the point
+                x1 = np.array([0.3, 0.1])
+                point = LinearSDESpec.from_point(x1, *coefficients, horizon=horizon)
+                law = bridge_law_linear(point, point, x1, 0.0, horizon)
+                m, cov = rk4_moments_fixed(*fns, x1, np.zeros((2, 2)), 0.0, horizon)
+                assert np.array_equal(law.mean, m)
+                assert np.array_equal(law.cov, cov)
 
     def test_span_steps_and_evaluations(self):
         # a span tau takes n = ceil(800 tau / horizon) steps and evaluates
@@ -288,9 +292,9 @@ class TestMomentPath:
         ]
         times = [1e-9, 0.01, 0.3, 0.3, 0.9, 1.0]
         for spec in specs:
-            a_fn, c_fn, s_fn, const = spec.parts()
-            assert const
-            a, c, s = a_fn(0.0), c_fn(0.0), s_fn(0.0)
+            # constants are stored as given, after their shape check
+            a, c, s = spec.drift_matrix, spec.drift_offset, spec.noise
+            assert all(isinstance(v, np.ndarray) for v in (a, c, s))
             for t, law in zip(times, linear_sde_laws(spec, times)):
                 ref = linear_sde_law(spec, t)
                 m, cov = van_loan_moments(a, c, s @ s.T, spec.initial_mean, spec.initial_cov, t)
@@ -308,6 +312,84 @@ class TestMomentPath:
         for drift_matrix, drift_offset, noise in bad:
             with pytest.raises(OracleError, match="must be a"):
                 LinearSDESpec(1, drift_matrix, drift_offset, noise, [0.0])
+
+
+class TestSpecReading:
+    """A spec stores its coefficients as given and is read by one stacked
+    reader, _coefficients; a zero covariance is a point mass by one rule."""
+
+    def test_constant_spec_gives_one_slice(self):
+        spec = LinearSDESpec.from_point([0.0, 1.0], -0.5, [0.2, 0.1], [[1.0, 0.0], [0.3, 0.8]])
+        for times in ([], [0.1], np.linspace(0.0, 1.0, 7)):
+            a, c, q = _coefficients(spec, times)
+            assert a.shape == (1, 2, 2) and c.shape == (1, 2) and q.shape == (1, 2, 2)
+            assert np.array_equal(a[0], -0.5 * np.eye(2))
+            assert np.array_equal(c[0], [0.2, 0.1])
+            assert np.array_equal(q[0], spec.noise @ spec.noise.T)
+
+    def test_callables_stacked_and_constants_repeated(self):
+        calls = []
+
+        def drift_matrix(t):
+            calls.append(t)
+            return np.array([[-t, 0.0], [0.1, -1.0]])
+
+        noise = np.array([[1.0, 0.0], [0.4, 0.9]])
+        spec = LinearSDESpec.from_point([0.0, 1.0], drift_matrix, 0.3, noise)
+        times = np.array([0.0, 0.25, 0.5])
+        a, c, q = _coefficients(spec, times)
+        assert calls == times.tolist()
+        assert a.shape == (3, 2, 2) and c.shape == (3, 2) and q.shape == (3, 2, 2)
+        for k, t in enumerate(times):
+            assert np.array_equal(a[k], drift_matrix(t))
+            assert np.array_equal(c[k], [0.3, 0.3])
+            assert np.array_equal(q[k], noise @ noise.T)
+
+    def test_point_mass_has_one_rule(self):
+        # t = 0 of a point start, a bridge ending at 0, and a point start
+        # without noise at t > 0 (earlier read "propagated covariance not SPD")
+        heat = heat_spec(1, 1.0, x0=[0.5])
+        still = LinearSDESpec.from_point([0.5], -1.0, 0.3, 0.0)
+        for run in (
+            lambda: linear_sde_laws(heat, [0.0, 0.5]),
+            lambda: bridge_law_linear(heat, heat, [0.5], 0.0, 0.0),
+            lambda: linear_sde_law(still, 0.5),
+            lambda: bridge_law_linear(still, still, [0.5], 0.2, 0.5),
+        ):
+            with pytest.raises(OracleError, match="is a point mass, not a Gaussian"):
+                run()
+
+    @pytest.mark.parametrize(
+        "dim, args",
+        [
+            (1, (0.0, np.inf, np.sqrt(2.0), [0.0])),
+            (1, ([[np.nan]], 0.0, 1.0, [0.0])),
+            (1, (0.0, 0.0, 1.0, [np.nan])),
+            (1, (0.0, 0.0, 1.0, [0.0], [[np.nan]])),
+            (1, (0.0, 0.0, 1.0, [0.0], [[np.inf]])),
+            # a scalar is checked before it is filled: -inf times the
+            # identity's zeros would warn and give NaN off the diagonal
+            (2, (-np.inf, 0.0, 1.0, [0.0, 0.0])),
+            (2, (0.0, 0.0, -np.inf, [0.0, 0.0])),
+        ],
+    )
+    def test_nonfinite_constants_and_starts_rejected(self, dim, args):
+        # unchecked, an infinite offset gave a "divergent" bound and a NaN
+        # start covariance passed the PSD check and gave a NaN bound
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(OracleError, match="must be finite"):
+                LinearSDESpec(dim, *args)
+
+    def test_nonfinite_callable_value_names_its_time(self):
+        noise = lambda t: np.eye(1) * (np.nan if t > 0.5 else 1.0)
+        spec = LinearSDESpec.from_point([0.0], 0.0, 0.0, noise)
+        assert linear_sde_law(spec, 0.5).cov[0, 0] == pytest.approx(0.5, rel=1e-12)
+        # the first stage past 0.5 on the 800-step grid of [0, 1] is 801 / 1600
+        with pytest.raises(OracleError, match=r"noise is not finite at t=0\.500625"):
+            linear_sde_law(spec, 1.0)
+        with pytest.raises(OracleError, match="noise is not finite"):
+            mismatch_bound(heat_spec(1, 0.5), spec, 1.0)
 
 
 class TestScore:

@@ -14,3 +14,9 @@ def test_one_line_per_config():
     assert len(lines) == 2
     assert re.fullmatch(r"log_harnack seed=0  json=[0-9a-f]{64}  csv=[0-9a-f]{64}  exit=0", lines[0])
     assert lines[1] == "entropy_cost seed=0 t_min=2  json=-  csv=-  exit=1"
+
+
+def test_one_line_per_library_probe():
+    # a lib: entry runs a library probe in place of a CLI config
+    out = subprocess.run([sys.executable, TOOL, "lib:bridge"], capture_output=True, text=True, timeout=120, check=True)
+    assert re.fullmatch(r"lib:bridge  sha=[0-9a-f]{64}", out.stdout.strip())

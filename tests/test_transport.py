@@ -209,6 +209,21 @@ class TestCouplingPlan:
             with pytest.raises(TransportError, match="marginals"):
                 plan.validate()
 
+    def test_converged_entropic_plans_validate(self):
+        # a plan solved to SINKHORN_TOL is held to it; the exact rule of 1e-9
+        # rejected every one of these at marginal errors near 9e-8
+        rng = np.random.default_rng(4)
+        for _ in range(10):
+            mu = EmpiricalMeasure(rng.standard_normal((30, 2)))
+            nu = EmpiricalMeasure(rng.standard_normal((30, 2)) + 0.5)
+            plan = w2_empirical_ot(mu, nu, method="entropic", epsilon=0.5)[1]
+            assert 1e-9 < plan.marginal_error < SINKHORN_TOL
+            assert plan.validate() is plan
+        # the same matrix without its iteration count is held to 1e-9
+        exact_rule = CouplingPlan(plan.mu, plan.nu, plan.matrix, plan.cost)
+        with pytest.raises(TransportError, match="marginals"):
+            exact_rule.validate()
+
 
 class TestSinkhorn:
     def test_entropic_close_to_exact(self):

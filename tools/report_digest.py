@@ -1,4 +1,5 @@
-"""Digest of CLI reports, for checking that a change leaves them byte-identical.
+"""Digest of CLI reports and library results, for checking that a change
+leaves them byte-identical.
 
 Runs `entroflow run` from this checkout's `src` on a fixed list of configs,
 each into its own temporary directory, and prints one line per run:
@@ -8,13 +9,24 @@ each into its own temporary directory, and prints one line per run:
 The JSON digest is taken with the `timestamp` line removed, and a file the
 run did not write digests as `-`.  The configs are the six experiments at
 their defaults for seeds 0 and 7, plus the non-default configs in `EXTRA`.
-Run it on two checkouts and compare the outputs:
+
+Every CLI spec has constant coefficients, so no config reaches the RK4 path
+of the linear oracle.  The library probes in `LIB` do: each imports
+entroflow from the same `src`, runs fixed calls on time-dependent and mixed
+(callable drift matrix, constant offset and noise) specs at d = 1, 2 and 3,
+and prints
+
+    lib:<name>  sha=<sha256>
+
+over the bytes of every float it got back (reports as their JSON, the
+timestamp removed).  Run it on two checkouts and compare the outputs:
 
     python tools/report_digest.py > digest.txt
-    python tools/report_digest.py "log_harnack seed=0"   # only the named configs
+    python tools/report_digest.py "log_harnack seed=0" lib:laws   # only the named entries
 
 A config is `<experiment> seed=<n>` followed by `key=value` parameter
-overrides.  Uses only the standard library and entroflow.
+overrides; `lib:<name>` names a probe.  Uses only the standard library,
+numpy and entroflow.
 """
 
 import hashlib
@@ -23,6 +35,8 @@ import re
 import subprocess
 import sys
 import tempfile
+
+import numpy as np
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
@@ -87,9 +101,84 @@ def digest(config):
     return f"{config}  json={js}  csv={csv}  exit={code}"
 
 
+def _lib_specs(ef):
+    """{name: spec}: "td<d>" with every coefficient a callable and a Gaussian
+    start, "mixed<d>" with a callable drift matrix, constant offset and
+    noise and a point start, for d = 1, 2 and 3; the two noises agree at t = 0."""
+    specs = {}
+    for d in (1, 2, 3):
+        eye, lower = np.eye(d), np.tril(np.full((d, d), 0.3), -1)
+        ones, s0 = np.ones(d), np.sqrt(1.4) * np.eye(d)
+
+        def drift_matrix(t, eye=eye, lower=lower):
+            return -(1.0 + 0.5 * np.sin(2.0 * np.pi * t)) * eye + t * lower
+
+        start = ef.GaussianMeasure(np.linspace(-0.5, 0.5, d), 0.2 * eye + 0.05 * (lower + lower.T))
+        specs[f"td{d}"] = ef.LinearSDESpec.from_gaussian(
+            start,
+            drift_matrix,
+            lambda t, ones=ones: 0.3 * np.cos(3.0 * t) * ones,
+            lambda t, s0=s0, lower=lower: s0 + 0.4 * t * lower + 0.2 * t * t * np.eye(len(s0)),
+        )
+        specs[f"mixed{d}"] = ef.LinearSDESpec.from_point(np.linspace(1.0, -1.0, d), drift_matrix, 0.3 * ones, s0)
+    return specs
+
+
+def _lib_pairs(specs):
+    """(spec1, spec2, x1, x2) for both orders of the td and mixed spec at each d."""
+    pairs = []
+    for d in (1, 2, 3):
+        td, mixed = specs[f"td{d}"], specs[f"mixed{d}"]
+        for s1, s2 in ((td, mixed), (mixed, td)):
+            pairs.append((s1, s2, s1.initial_mean + 0.1, s2.initial_mean - 0.2))
+    return pairs
+
+
+LIB = {
+    "laws": lambda ef, specs, pairs: [ef.linear_sde_laws(s, np.geomspace(1e-3, 1.0, 7)) for s in specs.values()],
+    "bridge": lambda ef, specs, pairs: [
+        ef.bridge_law_linear(s1, s2, x1, t0, t1)
+        for s1, s2, x1, _ in pairs
+        for t0, t1 in ((0.25, 0.75), (0.0, 0.5), (0.4, 0.4))
+    ],
+    "epsilon_sweep": lambda ef, specs, pairs: [ef.bridge_epsilon_sweep(s1, s2, x1, 0.8) for s1, s2, x1, _ in pairs],
+    "mismatch": lambda ef, specs, pairs: [ef.mismatch_bound(s1, s2, 0.5, n_nodes=40) for s1, s2, _, _ in pairs],
+    "entropy_cost": lambda ef, specs, pairs: [
+        ef.entropy_cost_experiment(s1, s2, x1, x2, np.geomspace(0.01, 1.0, 6)) for s1, s2, x1, x2 in pairs
+    ],
+    "bridge_decomposition": lambda ef, specs, pairs: [
+        ef.bridge_decomposition_experiment(s1, s2, x1, x2, 0.6, epsilon=0.25) for s1, s2, x1, x2 in pairs
+    ],
+}
+
+
+def _pin(value):
+    """The bytes of every float in a library result, in order."""
+    if hasattr(value, "to_json"):
+        return _TIMESTAMP.sub(b"", value.to_json().encode())
+    if hasattr(value, "cov"):
+        return value.mean.tobytes() + value.cov.tobytes()
+    if hasattr(value, "decade_increments"):
+        return _pin((value.value, value.diverged, value.decade_increments))
+    if isinstance(value, (list, tuple)):
+        return b"".join(_pin(v) for v in value)
+    return np.float64(value).tobytes()
+
+
+def lib_digest(name):
+    """Run one library probe and return its digest line."""
+    if SRC not in sys.path:
+        sys.path.insert(0, SRC)
+    import entroflow as ef
+
+    specs = _lib_specs(ef)
+    result = LIB[name](ef, specs, _lib_pairs(specs))
+    return f"lib:{name}  sha={hashlib.sha256(_pin(result)).hexdigest()}"
+
+
 def main(argv):
-    for config in argv or CONFIGS:
-        print(digest(config), flush=True)
+    for entry in argv or CONFIGS + tuple(f"lib:{name}" for name in LIB):
+        print(lib_digest(entry[4:]) if entry.startswith("lib:") else digest(entry), flush=True)
     return 0
 
 

@@ -17,12 +17,12 @@ The "diffusion-gap" of mismatch_singularity is the heat pair a1*I vs a2*I.
 """
 
 import math
-from numbers import Integral
 
 import numpy as np
 
 from .dynamics import CoefficientField, DynamicsError
 from .meanfield import MVCoefficientField
+from .measures import _is_count
 from .oracles import LinearSDESpec
 
 __all__ = [
@@ -60,7 +60,7 @@ def _constant_diffusion(d, a_scale):
     They also take the measure argument of a mean-field field and ignore it.
     An out-of-range d or a_scale raises DynamicsError.
     """
-    if isinstance(d, bool) or not isinstance(d, Integral) or d < 1:
+    if not _is_count(d):
         raise DynamicsError(f"d must be a positive integer, got {d!r}")
     if not (math.isfinite(a_scale) and a_scale > 0):
         raise DynamicsError(f"diffusion scale a_scale must be positive and finite, got {a_scale!r}")

@@ -8,14 +8,13 @@ single integer parameter.  Natural log throughout.
 """
 
 import math
-from numbers import Integral
 
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve
 from scipy.spatial import cKDTree
 from scipy.special import logsumexp
 
-from .measures import EmpiricalMeasure, GaussianMeasure, _check_pair
+from .measures import EmpiricalMeasure, GaussianMeasure, _check_pair, _is_count
 from .reports import ExperimentReport
 
 
@@ -98,7 +97,7 @@ def kl_knn(mu_samples, nu_samples, k=5):
     if not (mu_samples.is_uniform() and nu_samples.is_uniform()):
         raise DivergenceError("kl_knn needs uniform weights (plain samples)")
     n, m, d = mu_samples.n_points, nu_samples.n_points, mu_samples.dim
-    if isinstance(k, bool) or not isinstance(k, Integral) or k < 1:
+    if not _is_count(k):
         raise DivergenceError(f"k must be an integer >= 1, got {k!r}")
     if n < k + 1 or m < k + 1:
         raise DivergenceError("too few samples: need n, m >= k+1")

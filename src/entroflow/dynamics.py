@@ -32,7 +32,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from ._rng import PATH, _keys, path_normals
-from .measures import EmpiricalMeasure
+from .measures import EmpiricalMeasure, _is_count
 from .reports import ExperimentReport
 
 __all__ = [
@@ -212,10 +212,6 @@ class PathEnsemble:
     def n_paths(self):
         return self.paths.shape[0]
 
-    @property
-    def dim(self):
-        return self.paths.shape[2]
-
     def terminal_points(self):
         if self.aborted:
             raise BlowUpError(f"paths {self.aborted} blew up; no terminal slice")
@@ -225,8 +221,8 @@ class PathEnsemble:
         return EmpiricalMeasure(self.terminal_points())
 
     def slice_measure(self, t):
-        idx = int(np.argmin(np.abs(self.times - t)))
-        if abs(self.times[idx] - t) > 1e-12 * max(1.0, abs(t)):
+        (idx,), (on_grid,) = _nearest_nodes(self.times, [t])
+        if not on_grid:
             raise DynamicsError(f"t={t} is not a grid node")
         if self.aborted:
             raise BlowUpError(f"paths {self.aborted} blew up; no slice at t={t}")
@@ -249,26 +245,28 @@ class CoupledPair:
 
 
 def time_grid(t_end, n_steps):
-    if not (math.isfinite(t_end) and t_end > 0) or n_steps < 1:
-        raise DynamicsError("need a finite t_end > 0 and n_steps >= 1")
-    return np.linspace(0.0, float(t_end), int(n_steps) + 1)
+    if not (math.isfinite(t_end) and t_end > 0 and _is_count(n_steps)):
+        raise DynamicsError(f"need a finite t_end > 0 and an integer n_steps >= 1, got {t_end!r} and {n_steps!r}")
+    return np.linspace(0.0, float(t_end), n_steps + 1)
 
 
-def refine_grid(times, t_insert):
-    """Make t_insert an exact node: snap a node within rounding distance to
-    it, insert otherwise (never round t_insert itself)."""
-    times = np.asarray(times, dtype=float)
-    if not times[0] <= t_insert <= times[-1]:
-        raise DynamicsError("t_insert outside the grid range")
-    gaps = np.abs(times - t_insert)
-    nearest = int(np.argmin(gaps))
-    if gaps[nearest] == 0.0:
-        return times
-    if gaps[nearest] < 1e-12 * max(1.0, abs(t_insert)):
-        out = times.copy()
-        out[nearest] = t_insert
-        return out
-    return np.insert(times, np.searchsorted(times, t_insert), t_insert)
+def _nearest_nodes(times, ts):
+    """The one rule for "t is a node of times": per t of ts, the index of the
+    nearest node (the first of ties) and whether it is within 1e-12 * max(1, |t|)."""
+    gaps = np.abs(times[:, None] - ts)
+    return np.argmin(gaps, axis=0), gaps.min(axis=0) <= 1e-12 * np.maximum(1.0, np.abs(ts))
+
+
+def refine_grid(times, ts):
+    """Make every time of ts an exact node: a node within rounding distance
+    of t (_nearest_nodes) is snapped to it, otherwise t is inserted; t itself
+    is never rounded."""
+    times, ts = np.array(times, dtype=float), np.unique(ts)
+    if not np.all((times[0] <= ts) & (ts <= times[-1])):
+        raise DynamicsError("a time to insert lies outside the grid range")
+    idx, on_grid = _nearest_nodes(times, ts)
+    times[idx[on_grid]] = ts[on_grid]
+    return np.insert(times, np.searchsorted(times, ts[~on_grid]), ts[~on_grid])
 
 
 def _noise(sig, dw):
@@ -282,10 +280,10 @@ def _noise(sig, dw):
     return np.einsum("nij,nj->ni", sig, dw)
 
 
-def _step(x, t, h, drift_fn, sigma_fn, dw):
-    """Euler-Maruyama step: x + b(t,x) h + sigma(t,x) dW."""
-    b = drift_fn(t, x)
-    return x + b * h + _noise(sigma_fn(t, x), dw)
+def _step(x, h, b, sig, dw):
+    """The one Euler-Maruyama update x + b h + sigma dW, from the drift b and sigma
+    at x; every front-end of _integrate steps each component of its state by it."""
+    return x + b * h + _noise(sig, dw)
 
 
 def _checked_grid(times):
@@ -344,9 +342,9 @@ def _integrate(x0_rows, times, advance, seed, stream, dim, interacting=False):
 
 
 def _start_rows(x0, dim, n_rows):
-    """The start point x0 on each of n_rows >= 1 rows; it must have dim coordinates."""
-    if n_rows < 1:
-        raise DynamicsError(f"need at least one path, got {n_rows}")
+    """The start point x0 on each of n_rows rows (a count); it must have dim coordinates."""
+    if not _is_count(n_rows):
+        raise DynamicsError(f"need at least one path, as an integer, got {n_rows!r}")
     x0 = np.asarray(x0, dtype=float).reshape(-1)
     if x0.size != dim:
         raise DynamicsError(f"start point has {x0.size} coordinates, the field has {dim}")
@@ -362,7 +360,7 @@ def euler_maruyama(field, x0, times, seed, n_paths=1):
     """
 
     def advance(t, h, x, dw):
-        return _step(x, t, h, field.drift, field.sigma, dw)
+        return _step(x, h, field.drift(t, x), field.sigma(t, x), dw)
 
     return _integrate(_start_rows(x0, field.dim, n_paths), times, advance, seed, 0, field.dim)
 
@@ -372,9 +370,9 @@ def synchronous_pair(field1, field2, x1, x2, times, seed, n_pairs=1):
 
     The stepped state is [X1, D] with D = X1 - X2.  The first component is
     stepped exactly like euler_maruyama (bit-identical under the same seed);
-    D is stepped by the Euler update of the difference equation and the
-    second component recomposed as X1 - D.  Marginals of both components
-    follow their single-SDE laws.  The two ensembles' paths are the two
+    D is stepped by the same update with the differences of the drifts and
+    of the sigmas, and the second component recomposed as X1 - D.  Marginals
+    of both components follow their single-SDE laws.  The two ensembles' paths are the two
     halves of the stacked state's buffer, so neither is contiguous.
     """
     if field1.dim != field2.dim:
@@ -388,9 +386,7 @@ def synchronous_pair(field1, field2, x1, x2, times, seed, n_pairs=1):
         y = x - diff
         b1, sig1 = field1.drift(t, x), field1.sigma(t, x)
         db = b1 - field2.drift(t, y)
-        dsig = sig1 - field2.sigma(t, y)
-        x_new = x + b1 * h + _noise(sig1, dw)
-        return np.hstack([x_new, diff + db * h + np.einsum("nij,nj->ni", dsig, dw)])
+        return np.hstack([_step(x, h, b1, sig1, dw), _step(diff, h, db, sig1 - field2.sigma(t, y), dw)])
 
     stacked = _integrate(state0, times, advance, seed, 0, d)
     x, diff = stacked.paths[:, :, :d], stacked.paths[:, :, d:]
@@ -417,13 +413,14 @@ def bridge_path(spec, x1, times, seed, n_paths=1):
     use field1 and later steps use field2, so the indicator split in time is
     represented without rounding.  Paths are continuous at the switch.
     """
-    times = refine_grid(_checked_grid(times), spec.t0)
-    if times[-1] < spec.t1 - 1e-12:
+    times = refine_grid(_checked_grid(times), [spec.t0])
+    # a grid that stops short of t1 must have t1 as a node, its last
+    if times[-1] < spec.t1 and not _nearest_nodes(times, [spec.t1])[1][0]:
         raise DynamicsError("grid must reach t1")
 
     def advance(t, h, x, dw):
         field = spec.field1 if t < spec.t0 else spec.field2
-        return _step(x, t, h, field.drift, field.sigma, dw)
+        return _step(x, h, field.drift(t, x), field.sigma(t, x), dw)
 
     return _integrate(_start_rows(x1, spec.field1.dim, n_paths), times, advance, seed, 0, spec.field1.dim)
 

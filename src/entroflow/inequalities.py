@@ -18,7 +18,7 @@ import numpy as np
 from ._rng import DRAW, substream
 from .divergence import _interpolation_right, kl_gaussian, kl_knn
 from .meanfield import _checked_grid, _grid_stats, _particle_times, evolve_particles
-from .measures import EmpiricalMeasure, GaussianMeasure, gaussian_sample
+from .measures import EmpiricalMeasure, GaussianMeasure, _is_count, gaussian_sample
 from .oracles import _coefficients, _from_point, bridge_law_linear, linear_sde_law, linear_sde_laws, mismatch_bound
 from .reports import ExperimentError, ExperimentReport, classify
 from .transport import w2_empirical_ot, w2_exact, w2_gaussian
@@ -429,11 +429,14 @@ def meanfield_entropy_cost_experiment(field, nu1, nu2, t_grid, n_particles, n_st
     non-constructive, so the verdict is rate-only ("holds" with the constant
     recorded) unless the estimator noise swamps the values (largest standard
     error above half the largest entropy), which is reported as degenerate.
-    A bad grid (see meanfield._checked_grid) or n_particles < 4*(k+1) raises
-    ExperimentError, and a pair without a W2 fails, before any cloud is drawn.
+    A bad grid (see meanfield._checked_grid), a count that is not an integer
+    or n_particles < 4*(k+1) raises ExperimentError, and a pair without a W2
+    fails, before any cloud is drawn.
     """
     t_grid = _checked_grid(t_grid)
     parts = [slice(b, None, 4) for b in range(4)]
+    if not (_is_count(n_particles) and _is_count(k)):
+        raise ExperimentError(f"n_particles and k must be integers >= 1, got {n_particles!r} and {k!r}")
     if n_particles < 4 * (k + 1):
         raise ExperimentError(f"need n_particles >= 4*(k+1) = {4 * (k + 1)} for k={k}, got {n_particles}")
     w0 = w2_exact(nu1, nu2)

@@ -10,11 +10,11 @@ reproduces independent single-SDE paths bit for bit.
 Clouds are stepped by the Euler loop of `dynamics` under its blow-up policy
 for interacting ensembles: the first particle that turns non-finite halts
 the cloud, because it corrupts the empirical measure every particle sees.
-`evolve_particles` lists it in `PathEnsemble.aborted`;
-`w2_stability_experiment` raises BlowUpError.  That loop draws a cloud's
-noise once and returns the cloud as a PathEnsemble, and
-`w2_stability_experiment` reads its clouds at grid times through that
-ensemble's slices.
+`evolve_particles` lists it in `PathEnsemble.aborted`.  That loop draws a
+cloud's noise once and returns the cloud as a PathEnsemble, and the
+particle experiments read their clouds at grid times only through that
+ensemble's slices, so a blown-up cloud has one outcome there: the slice's
+BlowUpError.
 """
 
 from dataclasses import dataclass
@@ -23,10 +23,8 @@ from typing import Callable, Optional
 import numpy as np
 
 from ._rng import INIT, substream
-from .dynamics import (
-    LIP_TOL, BlowUpError, DynamicsError, _div_a, _integrate, _sigma, _step, refine_grid, time_grid,
-)
-from .measures import EmpiricalMeasure, GaussianMeasure, _gaussian_points
+from .dynamics import LIP_TOL, DynamicsError, _div_a, _integrate, _sigma, _step, refine_grid, time_grid
+from .measures import EmpiricalMeasure, GaussianMeasure, _gaussian_points, _is_count
 from .reports import ExperimentError, ExperimentReport
 from .transport import gaussian_optimal_map, optimal_coupling_discrete, w2_exact
 
@@ -105,6 +103,8 @@ class MVCoefficientField:
 
 
 def _initial_cloud(init, n, seed, stream):
+    if not _is_count(n):
+        raise DynamicsError(f"need at least one particle, as an integer, got {n!r}")
     rng = substream(seed, INIT, 0, stream)
     if isinstance(init, GaussianMeasure):
         return _gaussian_points(init, n, rng)
@@ -128,7 +128,7 @@ def _evolve_cloud(field, x0, times, seed, stream):
 
     def advance(t, h, x, dw):
         mu = EmpiricalMeasure(x)
-        return _step(x, t, h, lambda s, y: field.drift(s, y, mu), lambda s, y: field.sigma(s, y, mu), dw)
+        return _step(x, h, field.drift(t, x, mu), field.sigma(t, x, mu), dw)
 
     return _integrate(x0, times, advance, seed, stream, field.dim, interacting=True)
 
@@ -142,10 +142,7 @@ def evolve_particles(field, init, n_particles, times, seed, stream=0):
     self-interaction: the cloud's law is the particle's own position).  A
     blow-up halts the ensemble (see the module docstring).
     """
-    if n_particles < 1:
-        raise DynamicsError("need at least one particle")
-    x = _initial_cloud(init, n_particles, seed, stream)
-    return _evolve_cloud(field, x, times, seed, stream)
+    return _evolve_cloud(field, _initial_cloud(init, n_particles, seed, stream), times, seed, stream)
 
 
 def flow_map(field, mu0, t, n_particles, n_steps, seed):
@@ -154,6 +151,8 @@ def flow_map(field, mu0, t, n_particles, n_steps, seed):
     if t < 0:
         raise DynamicsError("need t >= 0")
     if t == 0:
+        if not _is_count(n_steps):
+            raise DynamicsError(f"need an integer n_steps >= 1, got {n_steps!r}")
         return EmpiricalMeasure(_initial_cloud(mu0, n_particles, seed, 0))
     ens = evolve_particles(field, mu0, n_particles, time_grid(t, n_steps), seed)
     return ens.terminal_measure()
@@ -169,10 +168,7 @@ def _checked_grid(t_grid):
 
 def _particle_times(t_grid, n_steps):
     """time_grid(max t_grid, n_steps) with every time of t_grid an exact node."""
-    times = time_grid(max(t_grid), n_steps)
-    for t in t_grid:
-        times = refine_grid(times, t)
-    return times
+    return refine_grid(time_grid(max(t_grid), n_steps), t_grid)
 
 
 def _grid_stats(stat, ens1, ens2, t_grid, parts):
@@ -219,22 +215,22 @@ def w2_stability_experiment(field, nu1, nu2, t_grid, n_particles, n_steps, seed,
     reference bound the verdict is "holds" and the measured constant is
     recorded (rate-only check); a supplied bound is compared at 3 batch
     standard errors over 8 contiguous blocks of pairs (none below 16 pairs).
-    A bad grid raises ExperimentError (see _checked_grid), and a particle
-    blow-up in either cloud BlowUpError.
+    A bad grid (see _checked_grid) or n_particles raises ExperimentError,
+    and a particle blow-up in either cloud the BlowUpError of its slice.
     """
     t_grid = _checked_grid(t_grid)
+    if not _is_count(n_particles):
+        raise ExperimentError(f"n_particles must be an integer >= 1, got {n_particles!r}")
     w0 = w2_exact(nu1, nu2)
     params = {"w2_initial": w0, "t_grid": t_grid.tolist()}
     if w0 < 1e-12:
         left = right = tol = 0.0
         verdict, notes = "degenerate", "initial measures coincide: Lipschitz ratio undefined"
     else:
-        x1, x2 = _coupled_initial_clouds(nu1, nu2, n_particles, seed)
         times = _particle_times(t_grid, n_steps)
+        x1, x2 = _coupled_initial_clouds(nu1, nu2, n_particles, seed)
         ens1 = _evolve_cloud(field, x1, times, seed, stream=0)
         ens2 = _evolve_cloud(field, x2, times, seed, stream=0)
-        if ens1.aborted or ens2.aborted:
-            raise BlowUpError("particle blow-up during stability experiment")
         parts = np.array_split(np.arange(n_particles), 8) if n_particles >= 16 else []
         ws, ses = _grid_stats(w2_exact, ens1, ens2, t_grid, parts)
         ratios, ses = ws / w0, ses / w0

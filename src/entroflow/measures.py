@@ -6,6 +6,8 @@ Both are immutable value objects, safe to share across threads, with no
 file form: reports are the package's only output format.
 """
 
+from numbers import Integral
+
 import numpy as np
 
 from ._rng import DRAW, substream
@@ -135,6 +137,11 @@ class GaussianMeasure:
         return f"GaussianMeasure(d={self.dim})"
 
 
+def _is_count(n):
+    """The one count rule: n is an integer >= 1 (a numpy integer passes, a bool does not)."""
+    return isinstance(n, Integral) and not isinstance(n, bool) and n >= 1
+
+
 def _check_pair(name, kind, m1, m2):
     """Raise MeasureError unless m1 and m2 are both of class kind, of one dimension."""
     if not (isinstance(m1, kind) and isinstance(m2, kind)):
@@ -151,13 +158,13 @@ def gaussian_sample(g, n, seed):
     """
     if not isinstance(g, GaussianMeasure):
         raise MeasureError("gaussian_sample needs a GaussianMeasure")
-    if n < 1:
-        raise MeasureError("need n >= 1 samples")
+    if not _is_count(n):
+        raise MeasureError(f"need an integer n >= 1 samples, got {n!r}")
     return EmpiricalMeasure(_gaussian_points(g, n, substream(seed, DRAW, 0)))
 
 
 def _gaussian_points(g, n, rng):
     """(n, d) draws from the GaussianMeasure g: mean + z L' with z standard
     normal from the generator rng and L the Cholesky factor of the covariance."""
-    z = rng.standard_normal((int(n), g.dim))
+    z = rng.standard_normal((n, g.dim))
     return g.mean + z @ g.cholesky().T

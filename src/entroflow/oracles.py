@@ -20,14 +20,13 @@ linear specs), and the switched-generator (bridge) law.
 
 import math
 from dataclasses import dataclass, field, replace
-from numbers import Integral
 from typing import Callable, Optional, Union
 
 import numpy as np
 from scipy.linalg import expm
 
 from ._rng import DRAW, _rekeyed
-from .measures import SPD_RTOL, GaussianMeasure, MeasureError, _gaussian_points
+from .measures import SPD_RTOL, GaussianMeasure, MeasureError, _gaussian_points, _is_count
 from .dynamics import DynamicsError
 
 __all__ = [
@@ -82,7 +81,7 @@ def _resolve(val, d, name, matrix):
     return arr
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LinearSDESpec:
     """dX = (A(t) X + c(t)) dt + S(t) dW with constant-in-x noise, a = S S'/2.
 
@@ -91,7 +90,8 @@ class LinearSDESpec:
     initial law is Gaussian or a point (zero covariance), with a finite
     mean and covariance.  Laws are defined on [0, horizon]; for callable
     coefficients the horizon also sets the longest RK4 step,
-    horizon / RK4_STEPS.
+    horizon / RK4_STEPS.  Specs compare and hash by identity: their
+    coefficients may be callables, which have no value equality.
     """
 
     dim: int
@@ -101,7 +101,7 @@ class LinearSDESpec:
     initial_mean: np.ndarray
     initial_cov: Optional[np.ndarray] = None
     horizon: float = 1.0
-    _constant: bool = field(init=False, repr=False, compare=False)
+    _constant: bool = field(init=False, repr=False)
 
     def __post_init__(self):
         if not (math.isfinite(self.horizon) and self.horizon > 0):
@@ -371,7 +371,7 @@ def _linear_node_values(spec1, spec2, mids):
 
 
 def _check_count(name, n):
-    if isinstance(n, bool) or not isinstance(n, Integral) or n < 1:
+    if not _is_count(n):
         raise OracleError(f"{name} must be an integer >= 1, got {n!r}")
 
 

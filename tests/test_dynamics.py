@@ -11,6 +11,7 @@ from entroflow import (
     CoefficientField,
     DynamicsError,
     GaussianMeasure,
+    PathEnsemble,
     SemimartingaleWitness,
     bridge_path,
     dynamics,
@@ -20,7 +21,7 @@ from entroflow import (
     synchronous_pair,
     time_grid,
 )
-from entroflow.dynamics import _noise
+from entroflow.dynamics import _noise, refine_grid
 from entroflow.catalog import constant_drift_field, dini_power_drift_field, heat_field, mean_field_ou, ou_field
 
 from _refs import (
@@ -52,6 +53,56 @@ class TestTimeGrid:
         with pytest.raises(DynamicsError, match="t_end") as exc:
             time_grid(t_end, 4)
         assert not isinstance(exc.value, BlowUpError)
+
+    @pytest.mark.parametrize("n_steps", [0, 2.5, True, np.float64(4.0)], ids=["zero", "fraction", "bool", "float"])
+    def test_steps_must_be_a_positive_integer(self, n_steps):
+        # truncated, 2.5 would give 2 steps and True 1 step
+        with pytest.raises(DynamicsError, match="integer n_steps >= 1"):
+            time_grid(1.0, n_steps)
+
+    def test_numpy_integer_steps_accepted(self):
+        assert np.array_equal(time_grid(1.0, np.int64(4)), time_grid(1.0, 4))
+
+
+class TestGridNodes:
+    """One rule decides whether t is a node of a grid: the nearest node,
+    within 1e-12 * max(1, |t|)."""
+
+    def test_refine_inserts_and_snaps_several_times(self):
+        grid = time_grid(1.0, 4)
+        near = 0.5 + 3e-13
+        out = refine_grid(grid, [0.3, near, 0.3, 1.0])
+        assert out.tolist() == [0.0, 0.25, 0.3, near, 0.75, 1.0]
+        # every time is now a node, one refinement at a time or all at once
+        one_by_one = grid
+        for t in (0.3, near, 1.0):
+            one_by_one = refine_grid(one_by_one, [t])
+        assert np.array_equal(out, one_by_one)
+
+    def test_refine_tolerance_scales_with_large_times(self):
+        grid = time_grid(1e4, 4)
+        assert refine_grid(grid, [5000.0 + 1e-9]).size == grid.size
+        assert refine_grid(grid, [5000.0 + 1e-7]).size == grid.size + 1
+
+    @pytest.mark.parametrize("t", [-0.1, 1.5, math.nan])
+    def test_refine_outside_the_grid_rejected(self, t):
+        with pytest.raises(DynamicsError, match="outside the grid range"):
+            refine_grid(time_grid(1.0, 4), [0.5, t])
+
+    def test_slice_at_a_node_within_rounding(self):
+        ens = euler_maruyama(heat_field(1), [0.0], time_grid(1.0, 4), seed=0, n_paths=3)
+        assert np.array_equal(ens.slice_measure(0.5 + 1e-13).points, ens.paths[:, 2, :])
+
+    @pytest.mark.parametrize("t", [0.3, 0.5 + 1e-9, math.nan])
+    def test_slice_off_the_grid_rejected(self, t):
+        ens = euler_maruyama(heat_field(1), [0.0], time_grid(1.0, 4), seed=0, n_paths=3)
+        with pytest.raises(DynamicsError, match="not a grid node"):
+            ens.slice_measure(t)
+
+    def test_slice_of_aborted_ensemble_is_blowup(self):
+        ens = PathEnsemble(times=time_grid(1.0, 2), paths=np.zeros((3, 3, 1)), aborted=(1,))
+        with pytest.raises(BlowUpError, match=r"paths \(1,\) blew up; no slice at t=0\.5"):
+            ens.slice_measure(0.5)
 
 
 class TestCoefficientField:
@@ -195,8 +246,9 @@ class TestEulerMaruyama:
             euler_maruyama(heat_field(1), [0.0], grid, seed=0, n_paths=3)
         assert not isinstance(exc.value, BlowUpError)
 
-    @pytest.mark.parametrize("n_paths", [0, -1])
+    @pytest.mark.parametrize("n_paths", [0, -1, 2.5, True])
     def test_fewer_than_one_path_rejected(self, n_paths):
+        # unchecked, a fraction fails inside numpy with a TypeError
         with pytest.raises(DynamicsError, match="at least one path"):
             euler_maruyama(heat_field(1), [0.0], time_grid(1.0, 4), seed=0, n_paths=n_paths)
 
@@ -291,10 +343,14 @@ class TestSynchronousPair:
         with pytest.raises(DynamicsError, match="time grid"):
             synchronous_pair(heat_field(1), ou_field(1), [0.0], [1.0], grid, seed=0, n_pairs=3)
 
-    @pytest.mark.parametrize("n_pairs", [0, -1])
+    @pytest.mark.parametrize("n_pairs", [0, -1, 2.5, True])
     def test_fewer_than_one_pair_rejected(self, n_pairs):
         with pytest.raises(DynamicsError, match="at least one path"):
             synchronous_pair(heat_field(1), ou_field(1), [0.0], [1.0], time_grid(1.0, 4), seed=0, n_pairs=n_pairs)
+
+    def test_field_dimensions_must_agree(self):
+        with pytest.raises(DynamicsError, match="field dimensions differ"):
+            synchronous_pair(heat_field(1), heat_field(2), [0.0], [1.0, 0.0], time_grid(1.0, 4), seed=0)
 
     def test_peak_memory_at_most_five_ensembles(self):
         # the components are written into the two halves of the stacked
@@ -419,6 +475,39 @@ class TestBridgePath:
         spec = BridgeSpec(heat_field(1), ou_field(1), t1=1.0)
         with pytest.raises(DynamicsError, match="at least one path"):
             bridge_path(spec, [0.0], time_grid(1.0, 4), seed=0, n_paths=0)
+
+    def test_non_integer_path_count_rejected(self):
+        spec = BridgeSpec(heat_field(1), ou_field(1), t1=1.0)
+        with pytest.raises(DynamicsError, match="at least one path"):
+            bridge_path(spec, [0.0], time_grid(1.0, 4), seed=0, n_paths=2.5)
+
+    @pytest.mark.parametrize(
+        "t1, epsilon, dim2, match",
+        [
+            (0.0, 0.5, 1, "t1 > 0"),
+            (-1.0, 0.5, 1, "t1 > 0"),
+            (1.0, 0.0, 1, "epsilon"),
+            (1.0, 1.5, 1, "epsilon"),
+            (1.0, 0.5, 2, "dimensions differ"),
+        ],
+        ids=["t1-zero", "t1-negative", "epsilon-zero", "epsilon-above-one", "dimensions"],
+    )
+    def test_bad_spec_rejected(self, t1, epsilon, dim2, match):
+        with pytest.raises(DynamicsError, match=match):
+            BridgeSpec(heat_field(1), heat_field(dim2), t1=t1, epsilon=epsilon)
+
+    def test_grid_short_of_t1_rejected(self):
+        spec = BridgeSpec(heat_field(1), ou_field(1), t1=1.0)
+        with pytest.raises(DynamicsError, match="reach t1"):
+            bridge_path(spec, [0.0], time_grid(1.0 - 1e-9, 4), seed=0)
+
+    def test_grid_ending_on_large_t1_within_rounding_accepted(self):
+        # t1 is a node within 1e-12 * t1, the rule every grid node follows
+        spec = BridgeSpec(heat_field(1), ou_field(1), t1=1e4)
+        bridge = bridge_path(spec, [0.0], time_grid(1e4 - 1e-9, 8), seed=0, n_paths=2)
+        assert bridge.times[-1] == 1e4 - 1e-9 and not bridge.aborted
+        with pytest.raises(DynamicsError, match="reach t1"):
+            bridge_path(spec, [0.0], time_grid(1e4 - 1e-7, 8), seed=0)
 
     def test_bridge_same_field_matches_plain(self):
         f = ou_field(1, 1.0, 0.5)

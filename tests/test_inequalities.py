@@ -8,6 +8,7 @@ from entroflow import (
     DivergenceError,
     EmpiricalMeasure,
     GaussianMeasure,
+    LinearSDESpec,
     MeasureError,
     MismatchCase,
     bridge_decomposition_experiment,
@@ -112,6 +113,14 @@ class TestEntropyCost:
     def test_bad_grid_rejected(self, grid):
         with pytest.raises(ExperimentError, match="time grid"):
             entropy_cost_experiment(heat_spec(1), heat_spec(1), [0.0], [1.0], grid)
+
+    def test_callable_coefficients_give_no_sharp_deviation(self):
+        # only two constant standard heat specs have the sharp |x-y|^2/(4t)
+        spec = LinearSDESpec(1, lambda t: np.zeros((1, 1)), 0.0, np.sqrt(2.0) * np.eye(1), [0.0])
+        rep = entropy_cost_experiment(spec, heat_spec(1), [0.0], [1.0], [0.1, 0.5, 1.0])
+        assert "sharp_dev" not in rep.params
+        # the callable spec is the heat flow, so the entropies are the sharp ones
+        assert np.allclose(rep.params["t_entropy"], 0.25, atol=1e-9)
 
     def test_unsorted_grid_gives_sorted_report(self):
         specs = (ou_spec(1, 1.0, 1.0), ou_spec(1, 1.0, 2.0), [0.0], [1.0])
@@ -457,6 +466,12 @@ class TestMeanfieldEntropyCost:
             meanfield_entropy_cost_experiment(field, nu1, nu2, [0.5], 23, 16, k=5)
         with pytest.raises(MeasureError):
             meanfield_entropy_cost_experiment(field, GaussianMeasure([0.0], [[1.0]]), nu2, [0.5], 200, 16)
+        # unchecked, a fractional k reaches kl_knn only after both clouds are
+        # evolved, and a fractional particle count is truncated in the report
+        with pytest.raises(ExperimentError, match="integers >= 1"):
+            meanfield_entropy_cost_experiment(field, nu1, nu2, [0.5], 200, 16, k=2.5)
+        with pytest.raises(ExperimentError, match="integers >= 1"):
+            meanfield_entropy_cost_experiment(field, nu1, nu2, [0.5], 200.5, 16)
 
     def test_smallest_particle_count_runs(self):
         field = mean_field_ou(1, 1.0, 0.5)

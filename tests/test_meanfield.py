@@ -105,6 +105,16 @@ class TestEvolveParticles:
         ens = evolve_particles(field, EmpiricalMeasure([[0.0]]), 1, time_grid(0.2, 8), seed=6)
         assert ens.n_paths == 1
 
+    @pytest.mark.parametrize("n", [0, -2, 2.5, True], ids=["zero", "negative", "fraction", "bool"])
+    def test_particle_count_must_be_a_positive_integer(self, n):
+        # truncated, 2.5 would run 2 particles
+        with pytest.raises(DynamicsError, match="at least one particle"):
+            evolve_particles(mean_field_ou(1), GaussianMeasure([0.0], [[1.0]]), n, time_grid(0.2, 8), seed=6)
+
+    def test_start_must_be_a_measure(self):
+        with pytest.raises(DynamicsError, match="GaussianMeasure or EmpiricalMeasure"):
+            _initial_cloud(np.zeros((4, 1)), 4, 0, 0)
+
     def test_exchangeability_under_joint_permutation(self):
         # permuting (start, increment-stream) pairs permutes trajectories; the
         # terminal cloud is the same multiset up to summation rounding in the
@@ -121,14 +131,8 @@ class TestEvolveParticles:
             x = x_init.copy()
             for k in range(steps):
                 mu = EmpiricalMeasure(x)
-                x = _step(
-                    x,
-                    times[k],
-                    times[k + 1] - times[k],
-                    lambda t_, x_: field.drift(t_, x_, mu),
-                    lambda t_, x_: field.sigma(t_, x_, mu),
-                    noise[:, k, :],
-                )
+                t = times[k]
+                x = _step(x, times[k + 1] - t, field.drift(t, x, mu), field.sigma(t, x, mu), noise[:, k, :])
             return x
 
         a = run(x0, incs)
@@ -177,6 +181,16 @@ class TestFlowMap:
         cloud = flow_map(mean_field_ou(1), EmpiricalMeasure(pts), 0.0, 10, 16, seed=9)
         assert np.array_equal(cloud.points, pts)
 
+    def test_negative_time_rejected(self):
+        with pytest.raises(DynamicsError, match="t >= 0"):
+            flow_map(mean_field_ou(1), EmpiricalMeasure([[0.0]]), -0.5, 10, 16, seed=9)
+
+    @pytest.mark.parametrize("n_particles, n_steps", [(2.5, 16), (10, 2.5), (0, 16)])
+    def test_counts_checked_at_time_zero(self, n_particles, n_steps):
+        # at t = 0 no step is taken; unchecked, a fractional particle count fails inside numpy
+        with pytest.raises(DynamicsError, match="integer"):
+            flow_map(mean_field_ou(1), GaussianMeasure([0.0], [[1.0]]), 0.0, n_particles, n_steps, seed=9)
+
     def test_zero_steps_rejected(self):
         # zero steps at t > 0 must not hand back the unmoved cloud as the law at t
         cloud = EmpiricalMeasure(np.full((50, 1), 3.0))
@@ -217,14 +231,25 @@ class TestFlowMap:
 class TestStability:
     def test_blowup_raises(self):
         nu1, nu2 = EmpiricalMeasure([[4.0]]), EmpiricalMeasure([[4.5]])
-        with pytest.raises(DynamicsError, match="blow-up"):
+        with pytest.raises(DynamicsError, match="blew up"):
             w2_stability_experiment(septic_field(), nu1, nu2, [0.5, 4.0], 8, 6, seed=19)
 
     def test_blowup_is_blowup_error(self):
         # the same outcome type as a slice of an aborted ensemble
         nu1, nu2 = EmpiricalMeasure([[4.0]]), EmpiricalMeasure([[4.5]])
-        with pytest.raises(BlowUpError, match="particle blow-up during stability experiment"):
+        with pytest.raises(BlowUpError, match=r"blew up; no slice at t=0\.5"):
             w2_stability_experiment(septic_field(), nu1, nu2, [0.5, 4.0], 8, 6, seed=19)
+
+    @pytest.mark.parametrize("n", [32.5, True, 0])
+    def test_particle_count_checked_before_any_cloud(self, monkeypatch, n):
+        # unchecked, 32.5 fails inside numpy once the initial clouds are drawn
+        def no_clouds(*args, **kwargs):
+            raise AssertionError("a cloud was drawn")
+
+        monkeypatch.setattr(meanfield, "_coupled_initial_clouds", no_clouds)
+        nu1, nu2 = EmpiricalMeasure([[0.0]]), EmpiricalMeasure([[1.0]])
+        with pytest.raises(ExperimentError, match="n_particles must be an integer >= 1"):
+            w2_stability_experiment(mean_field_ou(1), nu1, nu2, [0.5], n, 8, seed=21)
 
     def test_mixed_gaussian_empirical_pair_rejected(self):
         field = mean_field_ou(1)

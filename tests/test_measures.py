@@ -107,6 +107,16 @@ class TestSampling:
         with pytest.raises(MeasureError):
             gaussian_sample(GaussianMeasure.standard(1), 0, seed=0)
 
+    @pytest.mark.parametrize("n", [2.5, True, np.float64(3.0)], ids=["fraction", "bool", "float"])
+    def test_count_must_be_an_integer(self, n):
+        # truncated, 2.5 would give 2 points
+        with pytest.raises(MeasureError, match="integer n >= 1"):
+            gaussian_sample(GaussianMeasure.standard(1), n, seed=0)
+
+    def test_numpy_integer_count_accepted(self):
+        g = GaussianMeasure.standard(2)
+        assert np.array_equal(gaussian_sample(g, np.int64(5), 1).points, gaussian_sample(g, 5, 1).points)
+
     def test_second_moment_statistical(self):
         # 3-sigma check of the sampled second moment against |m|^2 + tr(C)
         mean = np.array([1.0, -0.5])

@@ -318,6 +318,15 @@ class TestSpecReading:
     """A spec stores its coefficients as given and is read by one stacked
     reader, _coefficients; a zero covariance is a point mass by one rule."""
 
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_specs_compare_and_hash_by_identity(self, d):
+        # value equality would compare the array fields with ==: ambiguous at
+        # d = 2 and true by accident at d = 1, and no spec could be hashed
+        spec, twin = heat_spec(d), heat_spec(d)
+        assert spec == spec and spec != twin
+        assert spec in [twin, spec] and twin not in [spec]
+        assert len({spec, twin, spec}) == 2 and hash(spec) == hash(spec)
+
     def test_constant_spec_gives_one_slice(self):
         spec = LinearSDESpec.from_point([0.0, 1.0], -0.5, [0.2, 0.1], [[1.0, 0.0], [0.3, 0.8]])
         for times in ([], [0.1], np.linspace(0.0, 1.0, 7)):

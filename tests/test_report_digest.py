@@ -18,5 +18,9 @@ def test_one_line_per_config():
 
 def test_one_line_per_library_probe():
     # a lib: entry runs a library probe in place of a CLI config
-    out = subprocess.run([sys.executable, TOOL, "lib:bridge"], capture_output=True, text=True, timeout=120, check=True)
-    assert re.fullmatch(r"lib:bridge  sha=[0-9a-f]{64}", out.stdout.strip())
+    probes = ["lib:bridge", "lib:paths"]
+    out = subprocess.run([sys.executable, TOOL, *probes], capture_output=True, text=True, timeout=120, check=True)
+    lines = out.stdout.splitlines()
+    assert len(lines) == 2
+    for probe, line in zip(probes, lines):
+        assert re.fullmatch(rf"{probe}  sha=[0-9a-f]{{64}}", line)

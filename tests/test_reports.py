@@ -27,6 +27,13 @@ class TestReport:
     def test_margin(self):
         assert self._rep().margin == pytest.approx(1.0)
 
+    def test_margin_of_two_infinite_sides_is_null(self):
+        rep = ExperimentReport("inf", {}, math.inf, math.inf, 0.0)
+        assert math.isnan(rep.margin)
+        assert rep.verdict == "holds"
+        d = json.loads(rep.to_json())
+        assert d["margin"] is None and validate_report_dict(d)
+
     def test_verdict_derived_from_values(self):
         assert self._rep().verdict == "holds"
         assert ExperimentReport("v", {}, 2.0, 1.0, 0.5).verdict == "violated"

@@ -11,15 +11,18 @@ run did not write digests as `-`.  The configs are the six experiments at
 their defaults for seeds 0 and 7, plus the non-default configs in `EXTRA`.
 
 Every CLI spec has constant coefficients, so no config reaches the RK4 path
-of the linear oracle.  The library probes in `LIB` do: each imports
-entroflow from the same `src`, runs fixed calls on time-dependent and mixed
-(callable drift matrix, constant offset and noise) specs at d = 1, 2 and 3,
-and prints
+of the linear oracle, and no config digests an Euler path.  The library
+probes in `LIB` do: each imports entroflow from the same `src` and runs
+fixed calls at d = 1, 2 and 3.  Most run the linear oracle on time-dependent
+and mixed (callable drift matrix, constant offset and noise) specs;
+`lib:paths` runs every front-end of the Euler loop (see _lib_paths).  Each
+prints
 
     lib:<name>  sha=<sha256>
 
-over the bytes of every float it got back (reports as their JSON, the
-timestamp removed).  Run it on two checkouts and compare the outputs:
+over the bytes of every float it got back (paths with their grids, aborted
+rows and pair separations; reports as their JSON, the timestamp removed).
+Run it on two checkouts and compare the outputs:
 
     python tools/report_digest.py > digest.txt
     python tools/report_digest.py "log_harnack seed=0" lib:laws   # only the named entries
@@ -30,6 +33,7 @@ numpy and entroflow.
 """
 
 import hashlib
+import importlib
 import os
 import re
 import subprocess
@@ -134,6 +138,48 @@ def _lib_pairs(specs):
     return pairs
 
 
+def _lib_paths(ef):
+    """Fixed ensembles of every front-end of the Euler loop at d = 1, 2, 3:
+    euler_maruyama on a catalog field and on an x-dependent field with no
+    sigma_fn (sigma by eigendecomposition), a synchronous pair, a bridge,
+    particle clouds from a Gaussian and from a resampled empirical start, and
+    a flow map; then a path and a particle blow-up and a w2_stability report."""
+    cat = importlib.import_module("entroflow.catalog")
+    out = []
+    for d in (1, 2, 3):
+        sym = np.tril(np.full((d, d), 0.2), -1)
+        sym = sym + sym.T
+
+        def diffusion(t, x, d=d, sym=sym):
+            scale = 1.0 + 0.5 * np.tanh(np.sum(x * x, axis=1))[:, None, None]
+            return scale * np.eye(d) + (0.5 + t) * sym
+
+        xf = ef.CoefficientField(d, lambda t, x: np.tanh(x), lambda t, x: -0.5 * x, diffusion, bound=10.0)
+        grid, x0 = ef.time_grid(0.5, 16), np.linspace(-0.5, 0.5, d)
+        gauss = ef.GaussianMeasure(x0, 0.3 * np.eye(d) + 0.05 * sym)
+        emp = ef.EmpiricalMeasure(np.linspace(-1.0, 1.0, 5 * d).reshape(5, d) ** 3)
+        cloud = cat.mean_field_ou(d, 1.0, 0.5)
+        out += [
+            ef.euler_maruyama(cat.ou_field(d, 1.0, 0.5), x0, grid, seed=d, n_paths=8),
+            ef.euler_maruyama(xf, x0, grid, seed=d, n_paths=8),
+            ef.synchronous_pair(xf, cat.dini_power_drift_field(d), x0, x0 + 0.3, grid, seed=d, n_pairs=8),
+            ef.bridge_path(ef.BridgeSpec(cat.heat_field(d), xf, t1=0.5, epsilon=0.3), x0, grid, seed=d, n_paths=8),
+            ef.evolve_particles(cloud, gauss, 16, grid, seed=d),
+            ef.evolve_particles(cloud, emp, 16, grid, seed=d, stream=1),
+            ef.flow_map(ef.MVCoefficientField.from_static(xf), gauss, 0.25, 16, 8, seed=d),
+        ]
+    quintic = ef.CoefficientField(
+        1, lambda t, x: np.zeros_like(x), lambda t, x: x**5, lambda t, x: np.ones((x.shape[0], 1, 1)), bound=100.0
+    )
+    # three of six paths blow up; the cloud halts at its first blow-up
+    out.append(ef.euler_maruyama(quintic, [1.0], ef.time_grid(1.0, 8), seed=3, n_paths=6))
+    start = ef.EmpiricalMeasure([[1.0]])
+    out.append(ef.evolve_particles(ef.MVCoefficientField.from_static(quintic), start, 6, ef.time_grid(1.0, 8), seed=3))
+    nu1, nu2 = ef.GaussianMeasure([0.0], [[0.5]]), ef.GaussianMeasure([1.0], [[0.5]])
+    out.append(ef.w2_stability_experiment(cat.make_mv_field("ou", 1), nu1, nu2, [0.1, 0.3], 64, 16, seed=2))
+    return out
+
+
 LIB = {
     "laws": lambda ef, specs, pairs: [ef.linear_sde_laws(s, np.geomspace(1e-3, 1.0, 7)) for s in specs.values()],
     "bridge": lambda ef, specs, pairs: [
@@ -149,6 +195,7 @@ LIB = {
     "bridge_decomposition": lambda ef, specs, pairs: [
         ef.bridge_decomposition_experiment(s1, s2, x1, x2, 0.6, epsilon=0.25) for s1, s2, x1, x2 in pairs
     ],
+    "paths": lambda ef, specs, pairs: _lib_paths(ef),
 }
 
 
@@ -156,6 +203,14 @@ def _pin(value):
     """The bytes of every float in a library result, in order."""
     if hasattr(value, "to_json"):
         return _TIMESTAMP.sub(b"", value.to_json().encode())
+    if isinstance(value, np.ndarray):
+        return value.tobytes()
+    if hasattr(value, "separation"):
+        return _pin((value.first, value.second, value.separation))
+    if hasattr(value, "paths"):
+        return _pin((value.times, value.paths, value.aborted))
+    if hasattr(value, "points"):
+        return _pin((value.points, value.weights))
     if hasattr(value, "cov"):
         return value.mean.tobytes() + value.cov.tobytes()
     if hasattr(value, "decade_increments"):

@@ -11,10 +11,10 @@ and mean-field fields share one sigma rule and one div a rule.
 
 Everything, the interacting particle systems of `meanfield` included, is
 integrated by Euler-Maruyama in one time loop, `_integrate`.  It draws an
-ensemble's noise once, one counter-based substream per path, into the tail
-of that path's own row of the path array, and returns the ensemble as a
-PathEnsemble, through which every slice of a path, pair or particle cloud
-is read.  All weak-error checks in the package are satisfied by
+ensemble's noise once, the rows in order from one counter-based stream,
+each into the tail of that path's own row of the path array, and returns
+the ensemble as a PathEnsemble, through which every slice of a path, pair
+or particle cloud is read.  All weak-error checks in the package are satisfied by
 Euler-Maruyama, so no higher-order scheme is carried.
 
 Blow-up policy: a path whose state turns non-finite is listed in
@@ -31,7 +31,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from ._rng import PATH, _keys, path_normals
+from ._rng import path_normals
 from .measures import EmpiricalMeasure, _is_count
 from .reports import ExperimentReport
 
@@ -297,24 +297,22 @@ def _checked_grid(times):
 def _integrate(x0_rows, times, advance, seed, stream, dim, interacting=False):
     """The package's one Euler time loop, under the module's blow-up policy.
 
-    Allocates only the (n_rows, n_nodes, width) path array.  Row i's
-    standard normals, from the substream keyed (seed, stream, i) with dim
-    coordinates per step, are drawn into the last n_steps * dim slots of
-    row i's own path buffer.  Step k scales its slot by sqrt(h) into dw and
-    then steps: advance(t, h, x, dw) returns the (n_rows, width) state at
-    t + h as a new array, given the state x at t and the rows' increments
-    dw over the step.  Node k + 1 is written only after step k has read its
-    noise; it ends at slot width * (k + 2), which for width >= dim is never
-    past the start of step k + 1's noise, so no unread noise is overwritten.
-    An interacting ensemble halts at its first blow-up; otherwise only the
-    rows that blew up stop.  Returns the PathEnsemble of the paths.  The
-    grid must pass _checked_grid.
+    Allocates only the (n_rows, n_nodes, width) path array.  The rows'
+    standard normals, dim coordinates per step, are drawn in row order from
+    the one stream of (seed, stream) by path_normals, each row's into the
+    last n_steps * dim slots of its own path buffer.  Step k scales its slot
+    by sqrt(h) into dw and then steps: advance(t, h, x, dw) returns the
+    (n_rows, width) state at t + h as a new array, given the state x at t
+    and the rows' increments dw over the step.  Node k + 1 is written only
+    after step k has read its noise; it ends at slot width * (k + 2), which
+    for width >= dim is never past the start of step k + 1's noise, so no
+    unread noise is overwritten.  An interacting ensemble halts at its first
+    blow-up; otherwise only the rows that blew up stop.  Returns the
+    PathEnsemble of the paths.  The grid must pass _checked_grid.
     """
     times = _checked_grid(times)
     n_rows, width = x0_rows.shape
     n_steps = times.size - 1
-    # the last row's key is the largest: check it before allocating the paths
-    _keys(seed, PATH, [n_rows - 1], stream)
     paths = np.empty((n_rows, times.size, width))
     tail = paths.reshape(n_rows, -1)[:, (n_steps + 1) * width - n_steps * dim :]
     noise = path_normals(seed, tail.reshape(n_rows, n_steps, dim), stream)
@@ -355,8 +353,10 @@ def euler_maruyama(field, x0, times, seed, n_paths=1):
     """Euler-Maruyama ensemble for one coefficient field from a point start.
 
     X_{k+1} = X_k + b(t_k, X_k) h + sigma(t_k, X_k) dW_k with dW_k ~ N(0, h I),
-    drift evaluated as the Dini part plus the Lipschitz part.  Path i consumes
-    the substream keyed (seed, i); ensembles are bit-reproducible.
+    drift evaluated as the Dini part plus the Lipschitz part.  The paths
+    draw their noise in order from the one stream of seed (see
+    _rng.path_normals), so ensembles are bit-reproducible and the first k of
+    n paths are the k-path ensemble.
     """
 
     def advance(t, h, x, dw):

@@ -15,10 +15,10 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from ._rng import DRAW, substream
+from ._rng import TALAGRAND_REFERENCE, TALAGRAND_SUBSAMPLE, substream
 from .divergence import _interpolation_right, kl_gaussian, kl_knn
 from .meanfield import _checked_grid, _grid_stats, _particle_times, evolve_particles
-from .measures import EmpiricalMeasure, GaussianMeasure, _is_count, gaussian_sample
+from .measures import EmpiricalMeasure, GaussianMeasure, _gaussian_points, _is_count, gaussian_sample
 from .oracles import _coefficients, _from_point, bridge_law_linear, linear_sde_law, linear_sde_laws, mismatch_bound
 from .reports import ExperimentError, ExperimentReport, classify
 from .transport import w2_empirical_ot, w2_exact, w2_gaussian
@@ -61,12 +61,12 @@ def talagrand_experiment(nu, seed=0):
         gamma = GaussianMeasure.standard(nu.dim)
         ref = gaussian_sample(gamma, 10_000, seed)
         ent = kl_knn(nu, ref, k=5)
-        rng = substream(seed, DRAW, 1)
+        rng = substream(seed, *TALAGRAND_SUBSAMPLE)
         m = min(nu.n_points, 2_000)
         sub = nu if nu.n_points <= m else EmpiricalMeasure(
             nu.points[rng.choice(nu.n_points, size=m, replace=False)]
         )
-        ref_small = gaussian_sample(gamma, sub.n_points, seed + 1)
+        ref_small = EmpiricalMeasure(_gaussian_points(gamma, sub.n_points, substream(seed, *TALAGRAND_REFERENCE)))
         w2 = w2_empirical_ot(sub, ref_small, method="exact")[0]
         left, right, tol = w2 * w2, 2.0 * ent, 0.1
         notes = "k-NN entropy (k=5) and discrete OT estimates; statistical tolerance"
@@ -171,13 +171,14 @@ def mismatch_singularity_experiment(cases, t, n_mc=500, seed=0, n_nodes=200):
     diverged (the expected finding for a gap), "degenerate" when no pair
     supplies a true entropy (nothing is compared), otherwise the comparison
     for the most binding finite pair, where a NaN bound binds first and is
-    violated.  n_mc is the Monte Carlo draw count per node of field pairs;
-    a pair of LinearSDESpecs is evaluated exactly.
+    violated.  n_mc is the Monte Carlo draw count per node of field pairs,
+    and every such pair draws at the report's seed, so the pairs share
+    common random numbers; a pair of LinearSDESpecs is evaluated exactly.
     """
     rows = []
     for i, case in enumerate(cases):
         res = mismatch_bound(
-            case.field1, case.field2, t, case.law_provider, n_mc=n_mc, seed=seed + i, n_nodes=n_nodes
+            case.field1, case.field2, t, case.law_provider, n_mc=n_mc, seed=seed, n_nodes=n_nodes
         )
         rows.append(
             {
@@ -331,9 +332,14 @@ def default_test_functions(dim):
 
 
 def log_harnack_coefficient(k_curv, t):
-    """K / (2 (e^{2Kt} - 1)), continued through K=0 as 1/(4t)."""
-    if t <= 0:
-        raise ExperimentError("need t > 0")
+    """K / (2 (e^{2Kt} - 1)), continued through K=0 as 1/(4t).
+
+    t must be finite and > 0, and k_curv finite; otherwise ExperimentError.
+    """
+    if not (math.isfinite(t) and t > 0):
+        raise ExperimentError(f"need a finite t > 0, got t={t}")
+    if not math.isfinite(k_curv):
+        raise ExperimentError(f"need a finite k_curv, got k_curv={k_curv}")
     if k_curv == 0.0:
         return 1.0 / (4.0 * t)
     return k_curv / (2.0 * (math.expm1(2.0 * k_curv * t)))
@@ -377,6 +383,7 @@ def log_harnack_experiment(k_curv, t, x, y, f_family=None):
     taken at the worst function of the family.
     """
     tol = 1e-8
+    coeff = log_harnack_coefficient(k_curv, t)
     x = np.asarray(x, dtype=float).reshape(-1)
     y = np.asarray(y, dtype=float).reshape(-1)
     if x.size != y.size:
@@ -385,7 +392,6 @@ def log_harnack_experiment(k_curv, t, x, y, f_family=None):
     if not fam:
         raise ExperimentError("f_family has no test functions")
     nodes, weights = _gauss_hermite_nodes(x.size)
-    coeff = log_harnack_coefficient(k_curv, t)
     cost = coeff * float(np.sum((x - y) ** 2))
     pts_x, pts_y = _semigroup_points(x, t, k_curv, nodes), _semigroup_points(y, t, k_curv, nodes)
     rows = []

@@ -3,9 +3,10 @@
 The drift and diffusion may depend on the law of the solution; the law is
 approximated by the empirical measure of an N-particle cloud, rebuilt every
 step (no lagging) and passed to the coefficients as an immutable snapshot.
-Particles carry independent counter-based noise substreams keyed by
-(seed, particle index), so a field that ignores the measure argument
-reproduces independent single-SDE paths bit for bit.
+A cloud draws its particles' noise in order from one counter-based stream
+of (seed, stream), as a path ensemble does, so a field that ignores the
+measure argument reproduces the single-SDE paths of the same seed bit for
+bit.
 
 Clouds are stepped by the Euler loop of `dynamics` under its blow-up policy
 for interacting ensembles: the first particle that turns non-finite halts
@@ -22,7 +23,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from ._rng import INIT, substream
+from ._rng import CLOUD, COUPLED_CLOUDS, substream
 from .dynamics import LIP_TOL, DynamicsError, _div_a, _integrate, _sigma, _step, refine_grid, time_grid
 from .measures import EmpiricalMeasure, GaussianMeasure, _gaussian_points, _is_count
 from .reports import ExperimentError, ExperimentReport
@@ -105,7 +106,7 @@ class MVCoefficientField:
 def _initial_cloud(init, n, seed, stream):
     if not _is_count(n):
         raise DynamicsError(f"need at least one particle, as an integer, got {n!r}")
-    rng = substream(seed, INIT, 0, stream)
+    rng = substream(seed, *CLOUD, stream)
     if isinstance(init, GaussianMeasure):
         return _gaussian_points(init, n, rng)
     if isinstance(init, EmpiricalMeasure):
@@ -120,8 +121,8 @@ def _evolve_cloud(field, x0, times, seed, stream):
     """PathEnsemble of the cloud started at the rows of x0.
 
     Each step hands the coefficients the uniform empirical measure of the
-    current cloud; the particle in row i draws the noise substream keyed
-    (seed, stream, i).
+    current cloud; the particles draw their noise in row order from the one
+    stream of (seed, stream).
     """
     if x0.shape[1] != field.dim:
         raise DynamicsError(f"initial cloud has dimension {x0.shape[1]}, the field has {field.dim}")
@@ -137,10 +138,10 @@ def evolve_particles(field, init, n_particles, times, seed, stream=0):
     """N-particle system with empirical-measure feedback.
 
     Each step rebuilds the uniform empirical measure of the current cloud and
-    feeds it to the coefficients; particles then update in parallel with
-    their own noise substreams.  N = 1 is accepted (degenerate
-    self-interaction: the cloud's law is the particle's own position).  A
-    blow-up halts the ensemble (see the module docstring).
+    feeds it to the coefficients; particles then update in parallel, their
+    noise drawn in order from the one stream of (seed, stream).  N = 1 is
+    accepted (degenerate self-interaction: the cloud's law is the particle's
+    own position).  A blow-up halts the ensemble (see the module docstring).
     """
     return _evolve_cloud(field, _initial_cloud(init, n_particles, seed, stream), times, seed, stream)
 
@@ -193,7 +194,7 @@ def _coupled_initial_clouds(nu1, nu2, n, seed):
     The pair is two Gaussians or two empirical measures: w2_exact rejects
     any other pair before the clouds are drawn.
     """
-    rng = substream(seed, INIT, 1)
+    rng = substream(seed, *COUPLED_CLOUDS)
     if isinstance(nu1, GaussianMeasure):
         x = _gaussian_points(nu1, n, rng)
         a, b = gaussian_optimal_map(nu1, nu2)

@@ -10,7 +10,7 @@ from numbers import Integral
 
 import numpy as np
 
-from ._rng import DRAW, substream
+from ._rng import GAUSSIAN_SAMPLE, substream
 
 #: relative SPD tolerance: smallest eigenvalue must exceed SPD_RTOL * largest
 SPD_RTOL = 1e-12
@@ -160,7 +160,7 @@ def gaussian_sample(g, n, seed):
         raise MeasureError("gaussian_sample needs a GaussianMeasure")
     if not _is_count(n):
         raise MeasureError(f"need an integer n >= 1 samples, got {n!r}")
-    return EmpiricalMeasure(_gaussian_points(g, n, substream(seed, DRAW, 0)))
+    return EmpiricalMeasure(_gaussian_points(g, n, substream(seed, *GAUSSIAN_SAMPLE)))
 
 
 def _gaussian_points(g, n, rng):

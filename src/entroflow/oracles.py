@@ -25,7 +25,7 @@ from typing import Callable, Optional, Union
 import numpy as np
 from scipy.linalg import expm
 
-from ._rng import DRAW, _rekeyed
+from ._rng import MISMATCH_NODES, substream
 from .measures import SPD_RTOL, GaussianMeasure, MeasureError, _gaussian_points, _is_count
 from .dynamics import DynamicsError
 
@@ -328,11 +328,13 @@ class MismatchBound:
     decade_increments: tuple
 
 
-def _node_values(field1, field2, law_provider, mids, keys, n_mc, seed):
-    """0.5 E|a2^{-1/2} Phi(s, X_s)|^2 at each time s of mids by Monte Carlo;
-    node j draws from the substream with index keys[j]."""
+def _node_values(field1, field2, law_provider, mids, n_mc, seed):
+    """0.5 E|a2^{-1/2} Phi(s, X_s)|^2 at each time s of mids by Monte Carlo,
+    n_mc draws per node; the nodes draw in the order of mids from the one
+    stream of (seed, MISMATCH_NODES)."""
+    rng = substream(seed, *MISMATCH_NODES)
     vals = np.empty(mids.size)
-    for j, (s, rng) in enumerate(zip(mids, _rekeyed(seed, DRAW, keys))):
+    for j, s in enumerate(mids):
         law = law_provider(s)
         if not isinstance(law, GaussianMeasure):
             raise OracleError(f"law_provider gave a {type(law).__name__} at s={s}, not a GaussianMeasure")
@@ -380,7 +382,8 @@ def mismatch_bound(field1, field2, t, law_provider=None, n_mc=500, seed=0, n_nod
 
     For two coefficient fields, law_provider(s) must give the law of the
     first diffusion at time s as a GaussianMeasure (it supplies the score and
-    the Monte Carlo draws, n_mc per node); any other return raises
+    the Monte Carlo draws, n_mc per node, every node drawing in ascending
+    time order from one stream of seed); any other return raises
     OracleError.  For two LinearSDESpecs, which take no law_provider, the
     laws are the first spec's own and each node's expectation is exact
     (_linear_node_values): no draws, so n_mc and seed are not read.  Their
@@ -414,9 +417,7 @@ def mismatch_bound(field1, field2, t, law_provider=None, n_mc=500, seed=0, n_nod
     _check_count("n_nodes", n_nodes)
     main = t * (1e-4 ** (1.0 - np.arange(n_nodes + 1) / n_nodes))
     # one ascending grid: the probe decades below the main grid, 8
-    # subintervals each and the deepest first, then the main grid.  Probe
-    # node j of decade t*[1e-(dec+1), 1e-dec] draws from substream
-    # 10_000 + 8 (dec - 4) + j, main node j from substream j.
+    # subintervals each and the deepest first, then the main grid
     decades = range(11, 3, -1)
     probe = [np.geomspace(t * 10.0 ** -(dec + 1), t * 10.0 ** -dec, 9) for dec in decades]
     lo = np.concatenate([edges[:-1] for edges in probe] + [main[:-1]])
@@ -425,8 +426,7 @@ def mismatch_bound(field1, field2, t, law_provider=None, n_mc=500, seed=0, n_nod
     if linear:
         integrand = _linear_node_values(field1, field2, mids)
     else:
-        keys = [10_000 + 8 * (dec - 4) + j for dec in decades for j in range(8)] + list(range(n_nodes))
-        integrand = _node_values(field1, field2, law_provider, mids, keys, n_mc, seed)
+        integrand = _node_values(field1, field2, law_provider, mids, n_mc, seed)
     parts = integrand * (hi - lo)
     # per-decade increments, shallow to deep
     decade_inc = [float(np.sum(parts[8 * i : 8 * i + 8])) for i in reversed(range(len(decades)))]

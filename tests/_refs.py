@@ -185,9 +185,9 @@ def td_ou_law_quad(x0, v0, c, a_scale, rate_integral, t):
 
 
 def scaled_increments(seed, n_rows, times, dim, stream=0):
-    """The rows' Brownian increments over the grid: row i's normals, from
-    the substream keyed (seed, stream, i), in a buffer of their own and
-    scaled by sqrt(h)."""
+    """The rows' Brownian increments over the grid: the rows' normals, from
+    the one stream of (seed, stream), in a buffer of their own and scaled
+    by sqrt(h)."""
     normals = path_normals(seed, np.empty((n_rows, times.size - 1, dim)), stream)
     return normals * np.sqrt(np.diff(times))[None, :, None]
 

@@ -396,6 +396,26 @@ class TestLogHarnack:
         with pytest.raises(ExperimentError, match="no test functions"):
             log_harnack_experiment(0.0, 0.5, [0.0], [1.0], {})
 
+    @pytest.mark.parametrize(
+        "k_curv, t, name",
+        [
+            (0.0, math.nan, "t"),
+            (0.5, math.inf, "t"),
+            (0.0, math.inf, "t"),
+            (0.0, -0.1, "t"),
+            (0.0, 0.0, "t"),
+            (math.nan, 0.5, "k_curv"),
+            (math.inf, 0.5, "k_curv"),
+            (-math.inf, 0.5, "k_curv"),
+        ],
+    )
+    def test_non_finite_inputs_rejected(self, k_curv, t, name):
+        # each entry names the bad argument before any quadrature point is built
+        with pytest.raises(ExperimentError, match=f"finite {name}"):
+            log_harnack_coefficient(k_curv, t)
+        with pytest.raises(ExperimentError, match=f"finite {name}"):
+            log_harnack_experiment(k_curv, t, [0.0], [1.0])
+
 
 class TestMeanfieldEntropyCost:
     def test_identical_initials_degenerate_near_zero(self):

@@ -628,7 +628,7 @@ class TestLinearMismatchBound:
         exact = _linear_node_values(spec1, spec2, mids)
         batches = np.array(
             [
-                _node_values(field1, field2, lambda s: linear_sde_law(spec1, s), mids, range(3), 1000, seed)
+                _node_values(field1, field2, lambda s: linear_sde_law(spec1, s), mids, 1000, seed)
                 for seed in range(20)
             ]
         )

@@ -18,9 +18,9 @@ def test_one_line_per_config():
 
 def test_one_line_per_library_probe():
     # a lib: entry runs a library probe in place of a CLI config
-    probes = ["lib:bridge", "lib:paths"]
+    probes = ["lib:bridge", "lib:paths", "lib:draws"]
     out = subprocess.run([sys.executable, TOOL, *probes], capture_output=True, text=True, timeout=120, check=True)
     lines = out.stdout.splitlines()
-    assert len(lines) == 2
+    assert len(lines) == len(probes)
     for probe, line in zip(probes, lines):
         assert re.fullmatch(rf"{probe}  sha=[0-9a-f]{{64}}", line)

@@ -3,18 +3,19 @@ import warnings
 import numpy as np
 import pytest
 
-from entroflow import euler_maruyama, linear_sde_law, mismatch_bound
-from entroflow._rng import DRAW, PATH, _rekeyed, path_normals, substream
+from entroflow import GaussianMeasure, euler_maruyama, gaussian_sample, linear_sde_law, mismatch_bound
+from entroflow._rng import PATH, path_normals, substream
 from entroflow.catalog import heat_field, ou_field, ou_spec
 
 
 def fresh_rows(seed, n_paths, n_steps, dim, stream):
-    """path_normals built the direct way: a new Philox per row, keyed
-    (seed mod 2**64, (stream << 40) | row)."""
+    """path_normals built the direct way: one fresh Philox, keyed
+    (seed mod 2**64, (PATH << 56) | (stream << 40)), drawing the rows in order."""
+    key = np.array([seed % 2**64, (PATH << 56) | (stream << 40)], dtype=np.uint64)
+    g = np.random.Generator(np.random.Philox(key=key))
     out = np.empty((n_paths, n_steps, dim))
     for i in range(n_paths):
-        key = np.array([seed % 2**64, (stream << 40) | i], dtype=np.uint64)
-        out[i] = np.random.Generator(np.random.Philox(key=key)).standard_normal((n_steps, dim))
+        out[i] = g.standard_normal((n_steps, dim))
     return out
 
 
@@ -44,11 +45,14 @@ class TestPathNormals:
         with pytest.raises(ValueError, match="id out of range"):
             path_normals(0, np.empty((0, 3, 2)), stream=-1)
 
-    def test_row_count_checked_before_the_loop(self):
-        # the last row's index is checked up front: a late check would
-        # first try to build a key for each of the 2**40 empty rows
-        with pytest.raises(ValueError, match="index out of range"):
-            path_normals(0, np.empty((2**40 + 1, 0, 0)))
+    def test_first_rows_are_the_smaller_ensemble(self):
+        # the rows are drawn in order from one stream: k rows of n are the k-row draw
+        big = path_normals(5, np.empty((30, 7, 2)), 3)
+        for k in (0, 1, 12):
+            assert np.array_equal(path_normals(5, np.empty((k, 7, 2)), 3), big[:k])
+        paths = euler_maruyama(ou_field(2), [0.5, -0.5], np.linspace(0.0, 1.0, 8), 4, n_paths=20).paths
+        few = euler_maruyama(ou_field(2), [0.5, -0.5], np.linspace(0.0, 1.0, 8), 4, n_paths=6).paths
+        assert np.array_equal(few, paths[:6])
 
     def test_seeds_outside_signed_range_give_distinct_keys(self):
         seeds = [-1, 0, 2**63 + 1, 2**63 + 2]
@@ -64,54 +68,46 @@ class TestPathNormals:
             assert key.tolist() == [s % 2**64, (9 << 40) | 5]
 
 
-class TestRekeyed:
-    def test_each_yield_draws_its_own_substream(self):
-        keys = [10_000, 10_063, 0, 5, 2**40 - 1]
-        for key, g in zip(keys, _rekeyed(2**64 - 3, DRAW, keys, stream=4)):
-            ref = substream(2**64 - 3, DRAW, key, stream=4)
-            assert g.bit_generator.state["state"]["key"].tolist() == ref.bit_generator.state["state"]["key"].tolist()
-            # an odd count of 32-bit draws leaves a half-used word behind;
-            # the next re-key must discard it
-            assert np.array_equal(g.integers(0, 2**31, 3, dtype=np.int32), ref.integers(0, 2**31, 3, dtype=np.int32))
-            assert np.array_equal(g.standard_normal(7), ref.standard_normal(7))
+class TestSeedRule:
+    """A seed is an integer: anything else would be truncated to one, and two
+    different seeds would give the same report."""
 
-    def test_largest_index_checked(self):
-        with pytest.raises(ValueError, match="index out of range"):
-            next(_rekeyed(0, DRAW, [3, 2**40, 0]))
-        with pytest.raises(ValueError, match="index out of range"):
-            next(_rekeyed(0, DRAW, [3, -1]))
+    @pytest.mark.parametrize("seed", [1.9, 1.0, True, "1", None])
+    def test_non_integer_seed_rejected(self, seed):
+        with pytest.raises(ValueError, match="seed must be an integer"):
+            substream(seed, PATH)
+        with pytest.raises(ValueError, match="seed must be an integer"):
+            path_normals(seed, np.empty((2, 3, 1)))
+        with pytest.raises(ValueError, match="seed must be an integer"):
+            euler_maruyama(heat_field(1), [0.0], [0.0, 0.5, 1.0], seed)
+        with pytest.raises(ValueError, match="seed must be an integer"):
+            gaussian_sample(GaussianMeasure.standard(2), 4, seed)
+
+    @pytest.mark.parametrize("seed", [0, -3, np.int64(7), np.uint8(7), 2**70])
+    def test_integer_seed_taken_mod_2_64(self, seed):
+        key = substream(seed, PATH, 5).bit_generator.state["state"]["key"]
+        assert key.tolist() == [int(seed) % 2**64, 5]
 
 
 class TestOnePhiloxPerEnsemble:
-    """Re-keying one bit generator is what makes per-path noise cheap; a
-    construction count that grows with the ensemble would undo it."""
+    """One bit generator per ensemble and per mismatch bound: a construction
+    count that grows with the ensemble or the node count would cost a key
+    set-up per row or per node."""
 
-    @pytest.fixture
-    def philox_count(self, monkeypatch):
-        made = []
-        real = np.random.Philox
-
-        def counting(*args, **kwargs):
-            made.append(1)
-            return real(*args, **kwargs)
-
-        monkeypatch.setattr(np.random, "Philox", counting)
-        return made
-
-    def test_euler_ensemble(self, philox_count):
+    def test_euler_ensemble(self, philox_keys):
         counts = []
         for n_paths in (10, 1000):
-            philox_count.clear()
+            philox_keys.clear()
             euler_maruyama(heat_field(2), [0.0, 0.0], np.linspace(0.0, 1.0, 5), 3, n_paths=n_paths)
-            counts.append(len(philox_count))
+            counts.append(len(philox_keys))
         assert counts == [1, 1]
 
-    def test_mismatch_bound(self, philox_count):
+    def test_mismatch_bound(self, philox_keys):
         f1, f2 = ou_field(1, 1.0, 0.5), heat_field(1, 0.5)
         spec = ou_spec(1, 1.0, 0.5, x0=[1.0])
         counts = []
         for n_nodes in (16, 200):
-            philox_count.clear()
+            philox_keys.clear()
             mismatch_bound(f1, f2, 0.5, lambda s: linear_sde_law(spec, s), n_mc=8, seed=1, n_nodes=n_nodes)
-            counts.append(len(philox_count))
+            counts.append(len(philox_keys))
         assert counts == [1, 1]

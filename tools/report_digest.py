@@ -15,7 +15,8 @@ of the linear oracle, and no config digests an Euler path.  The library
 probes in `LIB` do: each imports entroflow from the same `src` and runs
 fixed calls at d = 1, 2 and 3.  Most run the linear oracle on time-dependent
 and mixed (callable drift matrix, constant offset and noise) specs;
-`lib:paths` runs every front-end of the Euler loop (see _lib_paths).  Each
+`lib:paths` runs every front-end of the Euler loop (see _lib_paths), and
+`lib:draws` the Monte Carlo branches of two reports (see _lib_draws).  Each
 prints
 
     lib:<name>  sha=<sha256>
@@ -180,6 +181,36 @@ def _lib_paths(ef):
     return out
 
 
+def _lib_draws(ef):
+    """The Monte Carlo branches no CLI config reaches: talagrand_experiment on
+    a fixed 300-point empirical measure in d = 2, and
+    mismatch_singularity_experiment on two field pairs with law providers."""
+    cat = importlib.import_module("entroflow.catalog")
+    i = np.arange(300)
+    # a sunflower spiral: 300 distinct points spread over a disc
+    spiral = np.column_stack([np.cos(2.4 * i), np.sin(2.4 * i)]) * np.sqrt(i / 300.0)[:, None] + [0.3, -0.2]
+    x0 = [1.0, -0.5]
+    spec = cat.ou_spec(2, 1.0, 0.5, x0=x0)
+    law = lambda s: ef.linear_sde_law(spec, s)
+    cases = [
+        ef.MismatchCase(
+            cat.ou_field(2, 1.0, 0.5),
+            field,
+            law,
+            ef.kl_gaussian(law(0.5), ef.linear_sde_law(other, 0.5)),
+            label,
+        )
+        for label, field, other in (
+            ("ou-heat", cat.heat_field(2, 0.5), cat.heat_spec(2, 0.5, x0=x0)),
+            ("ou-drift", cat.constant_drift_field(2, 1.0, 0.5), cat.constant_drift_spec(2, 1.0, 0.5, x0=x0)),
+        )
+    ]
+    return [
+        ef.talagrand_experiment(ef.EmpiricalMeasure(spiral), seed=3),
+        ef.mismatch_singularity_experiment(cases, 0.5, n_mc=50, seed=3, n_nodes=16),
+    ]
+
+
 LIB = {
     "laws": lambda ef, specs, pairs: [ef.linear_sde_laws(s, np.geomspace(1e-3, 1.0, 7)) for s in specs.values()],
     "bridge": lambda ef, specs, pairs: [
@@ -196,6 +227,7 @@ LIB = {
         ef.bridge_decomposition_experiment(s1, s2, x1, x2, 0.6, epsilon=0.25) for s1, s2, x1, x2 in pairs
     ],
     "paths": lambda ef, specs, pairs: _lib_paths(ef),
+    "draws": lambda ef, specs, pairs: _lib_draws(ef),
 }
 
 

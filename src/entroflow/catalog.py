@@ -16,13 +16,11 @@ field declares one constant, `bound`, and a mean-field entry one, `w2_lipschitz`
 The "diffusion-gap" of mismatch_singularity is the heat pair a1*I vs a2*I.
 """
 
-import math
-
 import numpy as np
 
 from .dynamics import CoefficientField, DynamicsError
 from .meanfield import MVCoefficientField
-from .measures import _is_count
+from .measures import _is_count, _is_positive
 from .oracles import LinearSDESpec
 
 __all__ = [
@@ -54,16 +52,20 @@ def _zero_drift(t, x):
     return np.zeros_like(x)
 
 
-def _constant_diffusion(d, a_scale):
+def _constant_diffusion(d, a_scale, **finite):
     """diffusion, sigma and div_a callables of a = a_scale*I on R^d.
 
     They also take the measure argument of a mean-field field and ignore it.
-    An out-of-range d or a_scale raises DynamicsError.
+    An out-of-range d or a_scale, or a non-finite value among the entry's other
+    parameters `finite`, raises DynamicsError: once, for every view of the entry.
     """
     if not _is_count(d):
         raise DynamicsError(f"d must be a positive integer, got {d!r}")
-    if not (math.isfinite(a_scale) and a_scale > 0):
+    if not _is_positive(a_scale):
         raise DynamicsError(f"diffusion scale a_scale must be positive and finite, got {a_scale!r}")
+    for name, value in finite.items():
+        if not np.all(np.isfinite(value)):
+            raise DynamicsError(f"{name} must be finite, got {value!r}")
     a = a_scale * np.eye(d)
     sig = np.sqrt(2.0 * a_scale) * np.eye(d)
 
@@ -83,7 +85,7 @@ class _Linear:
     """dX = (c - rate*X) dt + sqrt(2a) dW on R^d with a = a_scale*I."""
 
     def __init__(self, d, a_scale, rate=0.0, c=0.0):
-        self.diffusion, self.sigma, self.div_a = _constant_diffusion(d, a_scale)
+        self.diffusion, self.sigma, self.div_a = _constant_diffusion(d, a_scale, rate=rate, c=c)
         self.d, self.a_scale, self.rate = d, a_scale, rate
         self.c = np.full(d, float(c)) if np.ndim(c) == 0 else np.asarray(c, dtype=float)
 
@@ -135,7 +137,7 @@ def constant_drift_spec(d=1, c=_GAP["c"], a_scale=_GAP["a_scale"], x0=None, hori
 
 def mean_field_ou(d=1, rate=_OU["rate"], a_scale=_OU["a_scale"]):
     """Drift rate*(mean(mu) - x), |rate|-Lipschitz in W2: the cloud mean is conserved in expectation."""
-    diffusion, sigma, div_a = _constant_diffusion(d, a_scale)
+    diffusion, sigma, div_a = _constant_diffusion(d, a_scale, rate=rate)
     return MVCoefficientField(
         dim=d,
         drift=lambda t, x, mu: rate * (mu.mean() - x),
@@ -158,7 +160,7 @@ def dini_power_drift_field(
     """
     if not 0 < alpha <= 1:
         raise DynamicsError(f"dini-power-drift needs alpha in (0, 1], got {alpha!r}")
-    diffusion, sigma, div_a = _constant_diffusion(d, a_scale)
+    diffusion, sigma, div_a = _constant_diffusion(d, a_scale, gamma=gamma)
 
     def drift0(t, x):
         capped = np.minimum(np.abs(x), 1.0)

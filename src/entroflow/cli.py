@@ -35,7 +35,7 @@ from .inequalities import (
     mismatch_singularity_experiment,
     talagrand_experiment,
 )
-from .measures import EmpiricalMeasure, GaussianMeasure
+from .measures import EmpiricalMeasure, GaussianMeasure, _is_positive
 from .oracles import linear_sde_law
 from .divergence import kl_gaussian
 from .reports import write_plot_csv
@@ -109,19 +109,18 @@ _SPEC_PARAMS = lambda tag: {
 }
 
 
-def _linear_pair_params(x2_default):
-    """The inputs of an experiment on two catalog linear flows started at two points."""
-    return {
-        "d": _param("int", 1, "dimension"),
-        **_SPEC_PARAMS("spec1"),
-        **_SPEC_PARAMS("spec2"),
-        "x1": _param("vec", "0.0", "start of flow 1 (padded with zeros to d)"),
-        "x2": _param("vec", x2_default, "start of flow 2 (padded with zeros to d)"),
-    }
+#: the inputs of an experiment on two catalog linear flows started at two different points
+_LINEAR_PAIR_PARAMS = {
+    "d": _param("int", 1, "dimension"),
+    **_SPEC_PARAMS("spec1"),
+    **_SPEC_PARAMS("spec2"),
+    "x1": _param("vec", "0.0", "start of flow 1 (padded with zeros to d)"),
+    "x2": _param("vec", "1.0", "start of flow 2 (padded with zeros to d)"),
+}
 
 
 def _linear_pair(p, horizon):
-    """(spec1, spec2, x1, x2) read from _linear_pair_params; the specs are defined on [0, horizon]."""
+    """(spec1, spec2, x1, x2) read from _LINEAR_PAIR_PARAMS; the specs are defined on [0, horizon]."""
     d = p["d"]
     spec1, spec2 = (
         catalog.make_linear_spec(p[f"{t}_kind"], d, horizon, a=p[f"{t}_a"], rate=p[f"{t}_rate"], c=p[f"{t}_c"])
@@ -139,7 +138,7 @@ def _run_entropy_cost(p, seed):
 
 
 _EC_PARAMS = {
-    **_linear_pair_params("1.0"),
+    **_LINEAR_PAIR_PARAMS,
     "t_min": _param("time", 0.01, "smallest grid time"),
     "t_max": _param("time", 1.0, "largest grid time"),
     "n_t": _param("int", 12, "log-spaced grid size"),
@@ -183,7 +182,7 @@ def _run_bridge(p, seed):
 
 
 _BR_PARAMS = {
-    **_linear_pair_params("0.0"),
+    **_LINEAR_PAIR_PARAMS,
     "t1": _param("time", 1.0, "terminal time"),
     "epsilon": _param("float", 0.5, "switch fraction in (0, 1/2]"),
     "p": _param("float", 2.0, "interpolation power (> 1)"),
@@ -269,7 +268,7 @@ def _typed(schema, key, raw):
         raise CliError(f"parameter {key!r}: {val!r} is not a positive integer")
     if spec["type"] in ("float", "time", "vec") and not np.all(np.isfinite(val)):
         raise CliError(f"parameter {key!r}: {raw!r} is not finite")
-    if spec["type"] == "time" and not val > 0:
+    if spec["type"] == "time" and not _is_positive(val):
         raise CliError(f"parameter {key!r}: {val!r} is not a positive time")
     if spec["choices"] and val not in spec["choices"]:
         raise CliError(f"parameter {key!r}: {val!r} not in {spec['choices']}")

@@ -32,7 +32,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from ._rng import path_normals
-from .measures import EmpiricalMeasure, _is_count
+from .measures import EmpiricalMeasure, _is_count, _is_positive
 from .reports import ExperimentReport
 
 __all__ = [
@@ -182,8 +182,8 @@ class BridgeSpec:
     epsilon: float = 0.5
 
     def __post_init__(self):
-        if not self.t1 > 0:
-            raise DynamicsError("need t1 > 0")
+        if not _is_positive(self.t1):
+            raise DynamicsError(f"need a finite t1 > 0, got {self.t1!r}")
         if not 0 < self.epsilon <= 1.0:
             raise DynamicsError("need epsilon in (0, 1]")
         if self.field1.dim != self.field2.dim:
@@ -245,7 +245,7 @@ class CoupledPair:
 
 
 def time_grid(t_end, n_steps):
-    if not (math.isfinite(t_end) and t_end > 0 and _is_count(n_steps)):
+    if not (_is_positive(t_end) and _is_count(n_steps)):
         raise DynamicsError(f"need a finite t_end > 0 and an integer n_steps >= 1, got {t_end!r} and {n_steps!r}")
     return np.linspace(0.0, float(t_end), n_steps + 1)
 
@@ -340,12 +340,12 @@ def _integrate(x0_rows, times, advance, seed, stream, dim, interacting=False):
 
 
 def _start_rows(x0, dim, n_rows):
-    """The start point x0 on each of n_rows rows (a count); it must have dim coordinates."""
+    """The start point x0 on each of n_rows rows (a count); it must have dim finite coordinates."""
     if not _is_count(n_rows):
         raise DynamicsError(f"need at least one path, as an integer, got {n_rows!r}")
     x0 = np.asarray(x0, dtype=float).reshape(-1)
-    if x0.size != dim:
-        raise DynamicsError(f"start point has {x0.size} coordinates, the field has {dim}")
+    if x0.size != dim or not np.isfinite(x0).all():
+        raise DynamicsError(f"start point must have {dim} finite coordinates, got {x0.tolist()}")
     return np.tile(x0, (n_rows, 1))
 
 
@@ -449,12 +449,12 @@ class SemimartingaleWitness:
     compensator: Callable  # t -> A_t, increasing, A_0 = 0
 
     def __post_init__(self):
-        if self.k1 <= 0 or self.lam <= 0 or self.k <= 0:
-            raise DynamicsError("k1, lam, k must be positive")
+        if not (_is_positive(self.k1) and _is_positive(self.lam) and _is_positive(self.k)):
+            raise DynamicsError("k1, lam, k must be positive and finite")
         if not 0 < self.t0 < min(self.horizon, 1.0 / self.k1):
             raise DynamicsError("need t0 < min(T, 1/k1)")
-        if self.xi0 < 0:
-            raise DynamicsError("xi0 must be nonnegative")
+        if not (self.xi0 == 0 or _is_positive(self.xi0)):
+            raise DynamicsError("xi0 must be finite and nonnegative")
         if self.k * (1.0 - self.k1 * self.t0) < self.k1 * (1.0 + 0.5 * self.lam) - 1e-12:
             raise DynamicsError(
                 "slack condition k(1 - k1 t0) >= k1 (1 + lam/2) violated; "

@@ -18,7 +18,7 @@ import numpy as np
 from ._rng import TALAGRAND_REFERENCE, TALAGRAND_SUBSAMPLE, substream
 from .divergence import _interpolation_right, kl_gaussian, kl_knn
 from .meanfield import _checked_grid, _grid_stats, _particle_times, evolve_particles
-from .measures import EmpiricalMeasure, GaussianMeasure, _gaussian_points, _is_count, gaussian_sample
+from .measures import EmpiricalMeasure, GaussianMeasure, _gaussian_points, _is_count, _is_positive, gaussian_sample
 from .oracles import _coefficients, _from_point, bridge_law_linear, linear_sde_law, linear_sde_laws, mismatch_bound
 from .reports import ExperimentError, ExperimentReport, classify
 from .transport import w2_empirical_ot, w2_exact, w2_gaussian
@@ -244,6 +244,21 @@ def gaussian_log_power_integral(g_num, g_den, alpha):
     return float((alpha - 1.0) * d_alpha)
 
 
+def _bridge_laws(spec1, spec2, x1, t1, p, eps_values):
+    """The first flow's law at t1 from the point x1 and, per switch fraction eps, (bridge
+    law, Ent(law1 | bridge)) for spec1 on [0, eps*t1] and spec2 after.  ExperimentError
+    names t1 unless it is finite > 0, p unless finite > 1, and eps_values unless in (0, 1]."""
+    if not _is_positive(t1):
+        raise ExperimentError(f"need a finite t1 > 0, got t1={t1!r}")
+    if not _is_positive(p - 1.0):
+        raise ExperimentError(f"need a finite p > 1, got p={p!r}")
+    if not all(0 < eps <= 1 for eps in eps_values):
+        raise ExperimentError(f"need every epsilon in (0, 1], got eps_values={eps_values!r}")
+    law1 = linear_sde_law(_from_point(spec1, x1), t1)
+    bridges = [bridge_law_linear(spec1, spec2, x1, eps * t1, t1) for eps in eps_values]
+    return law1, [(law_b, kl_gaussian(law1, law_b)) for law_b in bridges]
+
+
 def bridge_decomposition_experiment(spec1, spec2, x1, x2, t1, epsilon=0.5, p=2.0):
     """Entropy decomposition through the switched-generator law.
 
@@ -252,22 +267,17 @@ def bridge_decomposition_experiment(spec1, spec2, x1, x2, t1, epsilon=0.5, p=2.0
 
         Ent(P1 | P2) <= p Ent(P1 | Pb) + (p-1) log int (dPb/dP2)^{p/(p-1)} dP2.
 
-    The power integral is finite only under the Gaussian integrability
-    condition; otherwise the verdict is degenerate (documented, not a
-    failure).  params records the first term scaled by t1, the quantity the
-    switch makes bounded as t1 -> 0.
+    Inputs as in _bridge_laws, with epsilon in (0, 1/2].  The power integral is finite
+    only under the Gaussian integrability condition; otherwise the verdict is degenerate
+    (documented, not a failure).  params records the first term scaled by t1, the
+    quantity the switch makes bounded as t1 -> 0.
     """
-    if not p > 1:
-        raise ExperimentError("need p > 1")
     if not 0 < epsilon <= 0.5:
-        raise ExperimentError("need epsilon in (0, 1/2]")
+        raise ExperimentError(f"need epsilon in (0, 1/2], got epsilon={epsilon!r}")
+    law1, [(law_b, ent_b)] = _bridge_laws(spec1, spec2, x1, t1, p, [epsilon])
     t0 = epsilon * t1
-    s1, s2 = _from_point(spec1, x1), _from_point(spec2, x2)
-    law1 = linear_sde_law(s1, t1)
-    law2 = linear_sde_law(s2, t1)
-    law_b = bridge_law_linear(spec1, spec2, s1.initial_mean, t0, t1)
+    law2 = linear_sde_law(_from_point(spec2, x2), t1)
     left = kl_gaussian(law1, law2)
-    ent_b = kl_gaussian(law1, law_b)
     first = p * ent_b
     log_power = gaussian_log_power_integral(law_b, law2, p / (p - 1.0))
     params = {
@@ -297,15 +307,10 @@ def bridge_decomposition_experiment(spec1, spec2, x1, x2, t1, epsilon=0.5, p=2.0
 
 
 def bridge_epsilon_sweep(spec1, spec2, x1, t1, p=2.0, eps_values=(1 / 16, 1 / 8, 1 / 4, 1 / 2)):
-    """First decomposition term across switch fractions (longer shared window
-    means a smaller first term).  Returns rows (epsilon, p*Ent(P1|Pb))."""
-    s1 = _from_point(spec1, x1)
-    law1 = linear_sde_law(s1, t1)
-    rows = []
-    for eps in eps_values:
-        law_b = bridge_law_linear(spec1, spec2, s1.initial_mean, eps * t1, t1)
-        rows.append((float(eps), p * kl_gaussian(law1, law_b)))
-    return rows
+    """First decomposition term across switch fractions (longer shared window means a smaller
+    first term), as rows (epsilon, p*Ent(P1|Pb)); inputs as in _bridge_laws."""
+    _, bridges = _bridge_laws(spec1, spec2, x1, t1, p, eps_values)
+    return [(float(eps), p * ent_b) for eps, (_, ent_b) in zip(eps_values, bridges)]
 
 
 # --------------------------------------------------------------------------
@@ -336,13 +341,16 @@ def log_harnack_coefficient(k_curv, t):
 
     t must be finite and > 0, and k_curv finite; otherwise ExperimentError.
     """
-    if not (math.isfinite(t) and t > 0):
+    if not _is_positive(t):
         raise ExperimentError(f"need a finite t > 0, got t={t}")
     if not math.isfinite(k_curv):
         raise ExperimentError(f"need a finite k_curv, got k_curv={k_curv}")
     if k_curv == 0.0:
         return 1.0 / (4.0 * t)
-    return k_curv / (2.0 * (math.expm1(2.0 * k_curv * t)))
+    try:
+        return k_curv / (2.0 * (math.expm1(2.0 * k_curv * t)))
+    except OverflowError:  # 2Kt past ~709.8: the same value as K e^{-2Kt} / (2 (1 - e^{-2Kt})), which tends to 0
+        return k_curv * math.exp(-2.0 * k_curv * t) / (2.0 * -math.expm1(-2.0 * k_curv * t))
 
 
 def _gauss_hermite_nodes(dim):

@@ -25,7 +25,7 @@ import numpy as np
 
 from ._rng import CLOUD, COUPLED_CLOUDS, substream
 from .dynamics import LIP_TOL, DynamicsError, _div_a, _integrate, _sigma, _step, refine_grid, time_grid
-from .measures import EmpiricalMeasure, GaussianMeasure, _gaussian_points, _is_count
+from .measures import EmpiricalMeasure, GaussianMeasure, _gaussian_points, _is_count, _is_positive
 from .reports import ExperimentError, ExperimentReport
 from .transport import gaussian_optimal_map, optimal_coupling_discrete, w2_exact
 
@@ -162,7 +162,7 @@ def flow_map(field, mu0, t, n_particles, n_steps, seed):
 def _checked_grid(t_grid):
     """Sorted float copy of a flow experiment's time grid: nonempty, 1-D, finite, > 0."""
     grid = np.asarray(t_grid, dtype=float)
-    if grid.ndim != 1 or grid.size == 0 or not np.all(np.isfinite(grid)) or grid.min() <= 0:
+    if grid.ndim != 1 or grid.size == 0 or not all(map(_is_positive, grid)):
         raise ExperimentError(f"time grid must be a nonempty 1-D array of finite times > 0, got {t_grid!r}")
     return np.sort(grid)
 

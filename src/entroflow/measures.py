@@ -6,7 +6,7 @@ Both are immutable value objects, safe to share across threads, with no
 file form: reports are the package's only output format.
 """
 
-from numbers import Integral
+from numbers import Integral, Real
 
 import numpy as np
 
@@ -140,6 +140,11 @@ class GaussianMeasure:
 def _is_count(n):
     """The one count rule: n is an integer >= 1 (a numpy integer passes, a bool does not)."""
     return isinstance(n, Integral) and not isinstance(n, bool) and n >= 1
+
+
+def _is_positive(x):
+    """The one positive-number rule: x is a finite real > 0 (a numpy scalar passes, a bool does not)."""
+    return isinstance(x, Real) and not isinstance(x, bool) and 0 < x < np.inf
 
 
 def _check_pair(name, kind, m1, m2):

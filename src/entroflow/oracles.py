@@ -26,7 +26,7 @@ import numpy as np
 from scipy.linalg import expm
 
 from ._rng import MISMATCH_NODES, substream
-from .measures import SPD_RTOL, GaussianMeasure, MeasureError, _gaussian_points, _is_count
+from .measures import SPD_RTOL, GaussianMeasure, MeasureError, _gaussian_points, _is_count, _is_positive
 from .dynamics import DynamicsError
 
 __all__ = [
@@ -104,7 +104,7 @@ class LinearSDESpec:
     _constant: bool = field(init=False, repr=False)
 
     def __post_init__(self):
-        if not (math.isfinite(self.horizon) and self.horizon > 0):
+        if not _is_positive(self.horizon):
             raise OracleError("horizon must be positive and finite")
         object.__setattr__(self, "initial_mean", np.asarray(self.initial_mean, dtype=float).reshape(-1))
         if self.initial_mean.size != self.dim:
@@ -398,7 +398,7 @@ def mismatch_bound(field1, field2, t, law_provider=None, n_mc=500, seed=0, n_nod
     increments fail to decay toward zero, which is exactly the log-type
     blowup produced by a uniform diffusion gap.
     """
-    if not (math.isfinite(t) and t > 0):
+    if not _is_positive(t):
         raise OracleError(f"need a finite t > 0, got t={t}")
     linear = isinstance(field1, LinearSDESpec)
     if isinstance(field2, LinearSDESpec) != linear:

@@ -24,7 +24,7 @@ import numpy as np
 from scipy.optimize import linear_sum_assignment, linprog
 import scipy.sparse as sp
 
-from .measures import EmpiricalMeasure, GaussianMeasure, MeasureError, _check_pair
+from .measures import EmpiricalMeasure, GaussianMeasure, MeasureError, _check_pair, _is_positive
 
 #: memory budget for exact discrete OT (number of cost-matrix entries)
 MAX_EXACT_ENTRIES = 4_000_000
@@ -275,7 +275,7 @@ def _self_transport_cost(m, epsilon):
 
 
 def _entropic_plan(mu, nu, epsilon):
-    if epsilon is None or not (np.isfinite(epsilon) and epsilon > 0):
+    if not _is_positive(epsilon):
         raise TransportError(f"entropic method needs a finite epsilon > 0, got {epsilon!r}")
     cost = _cost_matrix(mu, nu)
     plan, iterations, err = _sinkhorn(-cost / epsilon, mu.weights, nu.weights)

@@ -1,14 +1,21 @@
 import ast
+import math
 
 import numpy as np
 import pytest
 
 from entroflow import DynamicsError, euler_maruyama, time_grid
 from entroflow.catalog import (
+    constant_drift_field,
+    constant_drift_spec,
     dini_power_drift_field,
+    heat_field,
     make_field,
     make_linear_spec,
     make_mv_field,
+    mean_field_ou,
+    ou_field,
+    ou_spec,
 )
 from entroflow.oracles import _coefficients
 
@@ -59,6 +66,26 @@ class TestCatalog:
     def test_dini_alpha_outside_unit_interval_rejected(self, alpha):
         with pytest.raises(DynamicsError, match="alpha"):
             dini_power_drift_field(1, alpha=alpha)
+
+    @pytest.mark.parametrize(
+        "build, name",
+        [
+            (lambda: ou_field(1, rate=math.nan), "rate"),
+            (lambda: ou_spec(1, rate=math.nan), "rate"),
+            (lambda: constant_drift_field(1, c=math.inf), "c"),
+            (lambda: constant_drift_spec(1, c=math.inf), "c"),
+            (lambda: constant_drift_field(2, c=[0.0, math.nan]), "c"),
+            (lambda: dini_power_drift_field(1, gamma=math.nan), "gamma"),
+            (lambda: mean_field_ou(1, rate=math.nan), "rate"),
+            (lambda: heat_field(1, True), "a_scale"),
+        ],
+        ids=["ou-field", "ou-spec", "drift-field", "drift-spec", "drift-vector", "dini", "mean-field-ou", "bool-scale"],
+    )
+    def test_nonfinite_parameter_rejected_in_every_view(self, build, name):
+        # unchecked, max() hides a NaN in a static field's bound and the
+        # field builds while its spec view fails
+        with pytest.raises(DynamicsError, match=f"{name} must be"):
+            build()
 
     def test_field_and_spec_views_agree(self):
         rng = np.random.default_rng(12)

@@ -263,6 +263,20 @@ class TestRun:
             header, *rows = list(csv.reader(fh))
         assert len(header) == 3 and rows and all(len(row) == 3 for row in rows)
 
+    def test_default_bridge_compares_two_different_flows(self, tmp_path):
+        # the defaults start the two heat flows at 0 and 1: Ent = |x1 - x2|^2 / (4 t1)
+        out = tmp_path / "out"
+        assert main(["run", "--experiment", "bridge_decomposition", "--out", str(out)]) == 0
+        report = json.loads((out / "bridge_decomposition_report.json").read_text())
+        assert report["left"] == pytest.approx(0.25, abs=1e-12) and report["verdict"] == "holds"
+
+    def test_log_harnack_past_expm1_overflow_exit_zero(self, tmp_path):
+        # 2 k_curv t = 800: the coefficient is continued past the float range of e^{2Kt}
+        out = tmp_path / "out"
+        assert main(["run", "--experiment", "log_harnack", "--set", "k_curv=800", "--out", str(out)]) == 0
+        report = json.loads((out / "log_harnack_report.json").read_text())
+        assert report["verdict"] == "holds"
+
     def test_offered_catalog_names_build(self):
         # each catalog name offered as a choice builds through the lookup the run passes it to
         for name, (_, schema, _) in EXPERIMENTS.items():

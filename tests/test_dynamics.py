@@ -48,7 +48,7 @@ def quintic_field(d=1):
 
 
 class TestTimeGrid:
-    @pytest.mark.parametrize("t_end", [0.0, -1.0, math.nan, math.inf])
+    @pytest.mark.parametrize("t_end", [0.0, -1.0, math.nan, math.inf, True])
     def test_nonpositive_or_nonfinite_end_rejected(self, t_end):
         with pytest.raises(DynamicsError, match="t_end") as exc:
             time_grid(t_end, 4)
@@ -130,7 +130,7 @@ class TestCoefficientField:
         nan = float("nan")
         heat = heat_field(1)
         fields = [
-            dini_power_drift_field(1, gamma=nan),  # NaN drift, finite bound
+            dataclasses.replace(heat, drift_dini=lambda t, x: np.full_like(x, nan)),  # NaN drift, finite bound
             dataclasses.replace(heat, bound=nan),
             dataclasses.replace(heat, diffusion=lambda t, x: np.full((x.shape[0], 1, 1), nan)),
             dataclasses.replace(heat, drift_lipschitz=lambda t, x: np.full_like(x, nan)),
@@ -160,6 +160,20 @@ class TestCoefficientField:
 
 
 class TestEulerMaruyama:
+    @pytest.mark.parametrize("start", [math.nan, math.inf])
+    @pytest.mark.parametrize("front_end", ["euler", "pair", "bridge"])
+    def test_nonfinite_start_rejected(self, front_end, start):
+        # unchecked, every path of the ensemble is reported as a blow-up
+        f, grid = heat_field(1), time_grid(1.0, 4)
+        runs = {
+            "euler": lambda: euler_maruyama(f, [start], grid, seed=0, n_paths=3),
+            "pair": lambda: synchronous_pair(f, f, [0.0], [start], grid, seed=0, n_pairs=3),
+            "bridge": lambda: bridge_path(BridgeSpec(f, ou_field(1), 1.0), [start], grid, seed=0, n_paths=3),
+        }
+        with pytest.raises(DynamicsError, match="start point") as exc:
+            runs[front_end]()
+        assert not isinstance(exc.value, BlowUpError)
+
     def test_deterministic_bit_identical(self):
         f = ou_field(2, rate=1.0, a_scale=0.5)
         grid = time_grid(1.0, 64)
@@ -489,8 +503,10 @@ class TestBridgePath:
             (1.0, 0.0, 1, "epsilon"),
             (1.0, 1.5, 1, "epsilon"),
             (1.0, 0.5, 2, "dimensions differ"),
+            (math.inf, 0.5, 1, "t1 > 0"),
+            (math.nan, 0.5, 1, "t1 > 0"),
         ],
-        ids=["t1-zero", "t1-negative", "epsilon-zero", "epsilon-above-one", "dimensions"],
+        ids=["t1-zero", "t1-negative", "epsilon-zero", "epsilon-above-one", "dimensions", "t1-infinite", "t1-nan"],
     )
     def test_bad_spec_rejected(self, t1, epsilon, dim2, match):
         with pytest.raises(DynamicsError, match=match):
@@ -562,3 +578,14 @@ class TestExpMomentCertificate:
             SemimartingaleWitness(
                 k1=4.0, lam=0.1, k=100.0, t0=0.3, horizon=1.0, xi0=0.0, compensator=lambda t: t
             )
+
+    @pytest.mark.parametrize(
+        "bad, match",
+        [({"k1": math.nan}, "k1"), ({"lam": math.inf}, "lam"), ({"xi0": math.nan}, "xi0"), ({"xi0": -1.0}, "xi0")],
+        ids=["k1-nan", "lam-infinite", "xi0-nan", "xi0-negative"],
+    )
+    def test_nonfinite_parameters_rejected(self, bad, match):
+        # unchecked, k1 = NaN passes every comparison and the certificate reports "holds"
+        params = dict(k1=1.0, lam=0.5, k=10.0, t0=0.2, horizon=1.0, xi0=0.0, compensator=lambda t: 0.0)
+        with pytest.raises(DynamicsError, match=match):
+            SemimartingaleWitness(**{**params, **bad})

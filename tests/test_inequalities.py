@@ -293,6 +293,31 @@ class TestBridgeDecomposition:
         assert rep.verdict == "holds"
         assert rep.margin > 0.0
 
+    @pytest.mark.parametrize(
+        "kwargs, match",
+        [
+            ({"p": math.nan}, "p > 1"),
+            ({"p": 1.0}, "p > 1"),
+            ({"p": 0.5}, "p > 1"),
+            ({"eps_values": (0.5, 2.0)}, "epsilon"),
+            ({"eps_values": (-0.5,)}, "epsilon"),
+            ({"eps_values": (math.nan,)}, "epsilon"),
+            ({"t1": math.nan}, "t1 > 0"),
+            ({"t1": True}, "t1 > 0"),
+        ],
+        ids=["p-nan", "p-one", "p-half", "eps-two", "eps-negative", "eps-nan", "t1-nan", "t1-bool"],
+    )
+    def test_sweep_rejects_bad_inputs(self, kwargs, match):
+        args = {"t1": 1.0, **kwargs}
+        with pytest.raises(ExperimentError, match=match):
+            bridge_epsilon_sweep(heat_spec(1, 1.0), heat_spec(1, 2.0), [0.0], **args)
+
+    @pytest.mark.parametrize("t1", [math.nan, math.inf, -1.0, 0.0])
+    def test_experiment_names_bad_t1(self, t1):
+        # unchecked, t1 fails inside the oracle with a message that does not name it
+        with pytest.raises(ExperimentError, match="t1 > 0"):
+            bridge_decomposition_experiment(heat_spec(1, 1.0), heat_spec(1, 2.0), [0.0], [0.0], t1)
+
     def test_epsilon_sweep_monotone(self):
         rows = bridge_epsilon_sweep(
             heat_spec(1, 1.0), heat_spec(1, 2.0), [0.0], 1.0, p=2.0,
@@ -339,6 +364,15 @@ class TestBridgeDecomposition:
 
 
 class TestLogHarnack:
+    def test_coefficient_past_expm1_overflow(self):
+        # at 2Kt above ~709.8 math.expm1 overflows; the coefficient K e^{-2Kt} / (2 (1 - e^{-2Kt})) is continued
+        assert log_harnack_coefficient(400.0, 1.0) == 0.0
+        below, above = log_harnack_coefficient(354.5, 1.0), log_harnack_coefficient(355.0, 1.0)
+        assert above == pytest.approx(177.5 * math.exp(-710.0), rel=1e-9)
+        assert below > above > 0.0
+        rep = log_harnack_experiment(800.0, 0.5, [0.0], [1.0])
+        assert rep.params["coefficient"] == 0.0 and rep.verdict == "holds"
+
     def test_coefficient_limit(self):
         t = 0.3
         assert log_harnack_coefficient(0.0, t) == pytest.approx(1 / (4 * t))

@@ -303,9 +303,11 @@ class TestMomentPath:
                     assert np.array_equal(law.cov, cov_ref)
 
     def test_horizon_must_be_positive(self):
-        for horizon in (0.0, -1.0, math.inf):
-            with pytest.raises(OracleError):
+        for horizon in (0.0, -1.0, math.inf, math.nan, True):
+            with pytest.raises(OracleError, match="horizon"):
                 heat_spec(1, x0=[0.0], horizon=horizon)
+            with pytest.raises(OracleError, match="horizon"):
+                LinearSDESpec.from_point([0.0], 0.0, 0.0, 1.0, horizon=horizon)
 
     def test_malformed_constant_rejected_at_construction(self):
         bad = [(np.eye(2), 0.0, 1.0), (0.0, [0.0, 1.0], 1.0), (0.0, 0.0, [1.0])]

@@ -260,6 +260,7 @@ class TestSinkhorn:
             {"epsilon": math.nan},
             {"epsilon": math.inf},
             {"epsilon": -1.0},
+            {"epsilon": True},
         ],
     )
     def test_bad_arguments_rejected(self, kwargs):
